@@ -78,6 +78,7 @@ func Calibrate(name string, factory TargetFactory, grid Grid) *Model {
 	m := &Model{Target: name}
 	m.Read = calibrateTable(factory, grid, false)
 	m.Write = calibrateTable(factory, grid, true)
+	m.Prepare()
 	return m
 }
 

@@ -7,6 +7,13 @@
 // models are not analytic: they are tables of measured costs obtained by
 // subjecting the target to calibration workloads with known parameters, with
 // interpolation between calibration points at lookup time.
+//
+// Lookups interpolate the size and run-count axes in log space. The log of
+// every axis point is computed once, when a table is finished: Calibrate and
+// Load prepare their models, and Model.Prepare does the same for a model
+// built as a literal. An unprepared table computes the same logs on demand,
+// so a lookup returns the same float either way; preparing only saves the
+// math.Log calls.
 package costmodel
 
 import (
@@ -14,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // Curve is the measured cost (seconds per request) as a function of the
@@ -39,7 +45,7 @@ func (c *Curve) At(chi float64) float64 {
 	if chi >= c.Contention[n-1] {
 		return c.Cost[n-1]
 	}
-	i := sort.SearchFloat64s(c.Contention, chi)
+	i := search(c.Contention, chi)
 	// c.Contention[i-1] < chi <= c.Contention[i]
 	lo, hi := c.Contention[i-1], c.Contention[i]
 	f := (chi - lo) / (hi - lo)
@@ -73,6 +79,11 @@ type Table struct {
 	RunCounts []float64 `json:"run_counts"`
 	// Curves[si][ri] is the contention curve for Sizes[si], RunCounts[ri].
 	Curves [][]Curve `json:"curves"`
+
+	// logSizes and logRuns hold math.Log of each Sizes and RunCounts
+	// point, filled by Model.Prepare. They are nil on a table that was
+	// never prepared; logAt then computes the same values on demand.
+	logSizes, logRuns []float64
 }
 
 // Valid reports whether the table is well-formed.
@@ -107,11 +118,42 @@ func (t *Table) Valid() error {
 	return nil
 }
 
+func logAxis(axis []float64) []float64 {
+	logs := make([]float64, len(axis))
+	for i, v := range axis {
+		logs[i] = math.Log(v)
+	}
+	return logs
+}
+
+// logAt returns math.Log(axis[i]), from logs when the table was prepared.
+func logAt(axis, logs []float64, i int) float64 {
+	if logs != nil {
+		return logs[i]
+	}
+	return math.Log(axis[i])
+}
+
+// search returns the smallest index i with axis[i] >= v, as
+// sort.SearchFloat64s does, without the closure call per probe.
+func search(axis []float64, v float64) int {
+	lo, hi := 0, len(axis)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if axis[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // bracket returns indices (i, j) and weight f such that axis[i] and axis[j]
 // bracket v with interpolation weight f toward j, clamping outside the range.
 // Interpolation is performed in log space because both the size and run-count
-// axes are geometric.
-func bracket(axis []float64, v float64) (int, int, float64) {
+// axes are geometric; logs holds the axis's precomputed logs, or nil.
+func bracket(axis, logs []float64, v float64) (int, int, float64) {
 	n := len(axis)
 	if v <= axis[0] {
 		return 0, 0, 0
@@ -119,9 +161,9 @@ func bracket(axis []float64, v float64) (int, int, float64) {
 	if v >= axis[n-1] {
 		return n - 1, n - 1, 0
 	}
-	i := sort.SearchFloat64s(axis, v)
-	lo, hi := axis[i-1], axis[i]
-	f := (math.Log(v) - math.Log(lo)) / (math.Log(hi) - math.Log(lo))
+	i := search(axis, v)
+	lo, hi := logAt(axis, logs, i-1), logAt(axis, logs, i)
+	f := (math.Log(v) - lo) / (hi - lo)
 	return i - 1, i, f
 }
 
@@ -129,8 +171,8 @@ func bracket(axis []float64, v float64) (int, int, float64) {
 // request size (bytes), run count, and contention factor. Values outside the
 // calibrated ranges are clamped to the nearest calibrated point.
 func (t *Table) Lookup(size, runCount, chi float64) float64 {
-	s0, s1, sf := bracket(t.Sizes, size)
-	r0, r1, rf := bracket(t.RunCounts, runCount)
+	s0, s1, sf := bracket(t.Sizes, t.logSizes, size)
+	r0, r1, rf := bracket(t.RunCounts, t.logRuns, runCount)
 	c00 := t.Curves[s0][r0].At(chi)
 	c01 := t.Curves[s0][r1].At(chi)
 	c10 := t.Curves[s1][r0].At(chi)
@@ -169,6 +211,17 @@ func (m *Model) Valid() error {
 	return nil
 }
 
+// Prepare precomputes the log axes of both tables, as Calibrate and Load do,
+// so an interpolating bracket calls math.Log once, for the looked-up value,
+// instead of four times. Call it once a model built as a literal is complete
+// and before it is shared: it writes the model, and its tables' axes must
+// not change afterwards.
+func (m *Model) Prepare() {
+	for _, t := range []*Table{&m.Read, &m.Write} {
+		t.logSizes, t.logRuns = logAxis(t.Sizes), logAxis(t.RunCounts)
+	}
+}
+
 // Save writes the model as JSON.
 func (m *Model) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -185,5 +238,6 @@ func Load(r io.Reader) (*Model, error) {
 	if err := m.Valid(); err != nil {
 		return nil, err
 	}
+	m.Prepare()
 	return &m, nil
 }

@@ -9,10 +9,17 @@ import "fmt"
 //
 //   - the request-rate entry lambda_ij = totalRate_i * L[i][j],
 //   - the contention sum S_ij = sum_{k != i} lambda_kj * Overlap(i, k),
+//   - the object's own utilization term mu_ij, priced at that cached state,
 //   - the current utilization mu_j,
 //
-// held in three parallel slices ordered by ascending object id, so summation
-// order is reproducible and lookup is a binary search. State is sized by
+// the per-object entries held in four parallel slices ordered by ascending
+// object id, so summation order is reproducible and lookup is a binary
+// search. A probe on obj changes the contention factor only of obj and of
+// its co-access partners, so scoring reprices just those entries and adds
+// every other entry's cached mu_ij; the cost model is not consulted for
+// objects whose chi did not change. The mu_ij cache is refreshed on commit
+// only (Apply/SetObjectRow): for each partner whose contention sum shifted,
+// and for obj's own entry once its fraction is set. State is sized by
 // active entries, not by N: construction walks the layout once and allocates
 // O(total active entries), so an almost-empty fleet-scale target costs
 // almost nothing (the dense predecessor allocated four O(N) rows per target
@@ -43,6 +50,7 @@ type IncrementalEvaluator struct {
 	act [][]int32   // act[j]: objects with L[i][j] != 0, ascending
 	lam [][]float64 // lam[j][t] = totalRate[act[j][t]] * L[act[j][t]][j]
 	con [][]float64 // con[j][t] = S_ij for i = act[j][t]
+	om  [][]float64 // om[j][t] = mu_ij for i = act[j][t], at con[j][t]
 	mu  []float64   // mu[j]: cached utilization of target j
 }
 
@@ -65,6 +73,7 @@ func (ev *Evaluator) NewIncremental(l *Layout) *IncrementalEvaluator {
 		act: make([][]int32, m),
 		lam: make([][]float64, m),
 		con: make([][]float64, m),
+		om:  make([][]float64, m),
 		mu:  make([]float64, m),
 	}
 	// One pass in row-major (layout storage) order: each target's active
@@ -79,8 +88,10 @@ func (ev *Evaluator) NewIncremental(l *Layout) *IncrementalEvaluator {
 	}
 	for j := 0; j < m; j++ {
 		q.con[j] = make([]float64, len(q.act[j]))
+		q.om[j] = make([]float64, len(q.act[j]))
 		for t, i := range q.act[j] {
 			q.con[j][t] = q.freshCon(j, int(i))
+			q.om[j][t] = q.entryTerm(j, t, q.con[j][t])
 		}
 		q.mu[j] = q.scoreWith(j, -1, 0)
 	}
@@ -152,6 +163,20 @@ func (q *IncrementalEvaluator) objTerm(j, i int, lij, chi float64) float64 {
 	return mu
 }
 
+// entryTerm prices active entry t of target j at contention sum s: mu_ij
+// exactly as the naive Evaluator computes it, or 0 for an entry that carries
+// no load (those add nothing to mu_j).
+func (q *IncrementalEvaluator) entryTerm(j, t int, s float64) float64 {
+	ev := q.ev
+	i := int(q.act[j][t])
+	lij := q.l.At(i, j)
+	if lij <= Epsilon || ev.totalRate[i] <= 0 {
+		return 0
+	}
+	chi := s/q.lam[j][t] + ev.selfChi[i]
+	return q.objTerm(j, i, lij, chi)
+}
+
 // scoreWith computes mu_j as if L[obj][j] were frac, against the cached state
 // and without mutating anything. obj = -1 scores the target as-is. This is
 // the kernel's single scoring primitive: TryMove, Apply, ScoreObjectFrac and
@@ -160,8 +185,9 @@ func (q *IncrementalEvaluator) objTerm(j, i int, lij, chi float64) float64 {
 //
 // The active-list walk carries a merge pointer into obj's sparse overlap row
 // (tval, the Overlap(i, obj) direction): only obj's co-access partners see
-// their contention sums shift by dLam, every other active object reuses its
-// cached sum untouched.
+// their contention sums shift by dLam, so only they are repriced; every
+// other active object adds its cached mu_ij. The terms are summed in
+// ascending object order with obj's last, whichever of them were repriced.
 func (q *IncrementalEvaluator) scoreWith(j, obj int, frac float64) float64 {
 	ev := q.ev
 	var lamObj, dLam float64
@@ -181,25 +207,21 @@ func (q *IncrementalEvaluator) scoreWith(j, obj int, frac float64) float64 {
 	}
 	var mu float64
 	e := 0
-	act := q.act[j]
+	act, om := q.act[j], q.om[j]
 	for t, i32 := range act {
-		for e < len(oIdx) && oIdx[e] < i32 {
-			e++
-		}
-		i := int(i32)
-		if i == obj {
+		if int(i32) == obj {
 			continue
 		}
-		lij := q.l.At(i, j)
-		if lij <= Epsilon || ev.totalRate[i] <= 0 {
-			continue
+		if dLam != 0 {
+			for e < len(oIdx) && oIdx[e] < i32 {
+				e++
+			}
+			if e < len(oIdx) && oIdx[e] == i32 {
+				mu += q.entryTerm(j, t, q.con[j][t]+dLam*oTval[e])
+				continue
+			}
 		}
-		s := q.con[j][t]
-		if dLam != 0 && e < len(oIdx) && oIdx[e] == i32 {
-			s += dLam * oTval[e]
-		}
-		chi := s/q.lam[j][t] + ev.selfChi[i]
-		mu += q.objTerm(j, i, lij, chi)
+		mu += om[t]
 	}
 	if obj >= 0 && frac > Epsilon && ev.totalRate[obj] > 0 {
 		var s float64
@@ -279,6 +301,8 @@ func (q *IncrementalEvaluator) Apply(obj, from, to int, delta float64) float64 {
 // recomputed exactly, the active list membership is adjusted, and every
 // active co-access partner's contention sum shifts by dLam * Overlap(i, obj)
 // (non-partners are untouched — their sums never contained an obj term).
+// The cached mu_ij is refreshed for exactly the entries whose inputs moved:
+// each shifted partner, and obj's own entry once L[obj][j] is set.
 func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 	lamNew := q.ev.totalRate[obj] * frac
 	p := q.findActive(j, obj)
@@ -296,6 +320,7 @@ func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 			}
 			if e < len(oIdx) && oIdx[e] == i32 && int(i32) != obj {
 				q.con[j][t] += dLam * oTval[e]
+				q.om[j][t] = q.entryTerm(j, t, q.con[j][t])
 			}
 		}
 	}
@@ -303,20 +328,26 @@ func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 	case frac != 0 && p < 0:
 		// S_obj was not cached while obj was inactive; build it before
 		// the object joins the active list.
-		q.insertActive(j, -(p + 1), obj, lamNew, q.freshCon(j, obj))
+		p = -(p + 1)
+		q.insertActive(j, p, obj, lamNew, q.freshCon(j, obj))
 	case frac == 0 && p >= 0:
 		q.removeActive(j, p)
+		p = -1
 	case p >= 0:
 		q.lam[j][p] = lamNew
 	}
 	q.l.Set(obj, j, frac)
+	if p >= 0 {
+		q.om[j][p] = q.entryTerm(j, p, q.con[j][p])
+	}
 }
 
 // insertActive splices obj into target j's active list at position t,
 // keeping ascending order so that scoreWith's summation order depends only
 // on the set of active objects, never on the history of moves that produced
 // it. Steady-state insertions reuse the capacity earlier removals left
-// behind, keeping the Apply hot loop allocation-free.
+// behind, keeping the Apply hot loop allocation-free. The entry's mu_ij is
+// left 0 for setFrac to price once the layout holds the new fraction.
 func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64) {
 	q.act[j] = append(q.act[j], 0)
 	copy(q.act[j][t+1:], q.act[j][t:])
@@ -327,6 +358,9 @@ func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64) {
 	q.con[j] = append(q.con[j], 0)
 	copy(q.con[j][t+1:], q.con[j][t:])
 	q.con[j][t] = con
+	q.om[j] = append(q.om[j], 0)
+	copy(q.om[j][t+1:], q.om[j][t:])
+	q.om[j][t] = 0
 }
 
 // removeActive drops the entry at position t from target j's active list.
@@ -342,6 +376,9 @@ func (q *IncrementalEvaluator) removeActive(j, t int) {
 	con := q.con[j]
 	copy(con[t:], con[t+1:])
 	q.con[j] = con[:len(con)-1]
+	om := q.om[j]
+	copy(om[t:], om[t+1:])
+	q.om[j] = om[:len(om)-1]
 }
 
 // ForEachActive calls f for every object with a non-zero assignment on

@@ -186,8 +186,9 @@ func checkAgainstNaive(tb testing.TB, q *IncrementalEvaluator, ev *Evaluator, st
 
 // driveDifferential runs `moves` random transfers through the kernel,
 // checking every TryMove probe against a naive mutate-evaluate pass on a
-// clone and periodically checking the full cached state against a fresh
-// naive evaluation. drop sets the overlap sparsity (fraction of zero
+// clone, the kernel's cached mu_ij entries against a from-scratch repricing
+// after construction and every Apply, and periodically the full cached state
+// against a fresh naive evaluation. drop sets the overlap sparsity (fraction of zero
 // pairs); pass -1 for the legacy dense 1/3-zero generator, any other value
 // also mixes dense and sparse overlap representations across workloads.
 func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64) {
@@ -202,6 +203,9 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64)
 	l := randLayout(rng, n, m)
 	q := ev.NewIncremental(l)
 	checkAgainstNaive(tb, q, ev, -1)
+	if err := q.checkTermCache(); err != nil {
+		tb.Fatalf("after construction: %v", err)
+	}
 
 	applied := 0
 	for step := 0; step < moves; step++ {
@@ -233,6 +237,9 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64)
 				tb.Fatalf("step %d: Apply returned %g, EffectiveDelta %g", step, got, eff)
 			}
 			applied++
+			if err := q.checkTermCache(); err != nil {
+				tb.Fatalf("step %d: after Apply: %v", step, err)
+			}
 			// Apply's cached state must reproduce TryMove's probes exactly:
 			// both go through the same scoring primitive.
 			if q.Utilization(from) != muF || q.Utilization(to) != muT {
@@ -313,6 +320,9 @@ func TestIncrementalRowReplacement(t *testing.T) {
 			}
 		}
 		q.SetObjectRow(i, row)
+		if err := q.checkTermCache(); err != nil {
+			t.Fatalf("step %d: after SetObjectRow: %v", step, err)
+		}
 		for j := range row {
 			if row[j] != c.At(i, j) {
 				continue

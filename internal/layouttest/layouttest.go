@@ -42,7 +42,9 @@ func DiskModel() *costmodel.Model {
 		}
 		return t
 	}
-	return &costmodel.Model{Target: "test-disk", Read: mk(0.9e-3), Write: mk(1.1e-3)}
+	m := &costmodel.Model{Target: "test-disk", Read: mk(0.9e-3), Write: mk(1.1e-3)}
+	m.Prepare()
+	return m
 }
 
 // SSDModel returns a flat fast model (no positioning cost, no interference
@@ -65,7 +67,9 @@ func SSDModel() *costmodel.Model {
 		}
 		return t
 	}
-	return &costmodel.Model{Target: "test-ssd", Read: mk(0.2e-3), Write: mk(0.4e-3)}
+	m := &costmodel.Model{Target: "test-ssd", Read: mk(0.2e-3), Write: mk(0.4e-3)}
+	m.Prepare()
+	return m
 }
 
 // Targets builds m identical disk targets with the given capacity.

@@ -3,10 +3,15 @@ package nlp
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
+	"dblayout/internal/costmodel"
 	"dblayout/internal/layout"
 	"dblayout/internal/layouttest"
+	"dblayout/internal/rome"
+	"dblayout/internal/storage"
 )
 
 // benchSolve runs one multi-restart solve of the named strategy at the given
@@ -121,6 +126,79 @@ func BenchmarkSolveFleetScale(b *testing.B) {
 // 0 allocs/op — the kernel's zero-allocation contract for the hot loop.
 func BenchmarkMoveScoring(b *testing.B) {
 	inst, ev, init := paperScale(b)
+	benchMoveScoring(b, inst, ev, init)
+}
+
+// BenchmarkMoveScoringCalibrated measures the same primitive where the real
+// advisor spends its time: a 40-object, 4-target instance whose objects all
+// co-access one another, priced by a calibrated disk15k table (FastGrid),
+// so every probe interpolates the measured table. The analytic fixture
+// models behind BenchmarkMoveScoring have two-point axes and overlap blocks
+// of four; they understate both the table lookup and the partner count.
+func BenchmarkMoveScoringCalibrated(b *testing.B) {
+	model := costmodel.Calibrate("disk15k", func(e *storage.Engine) storage.Device {
+		return storage.NewDisk(e, "disk15k", storage.Disk15KConfig())
+	}, costmodel.FastGrid())
+	inst := denseCalibrated(b, 40, 4, model)
+	ev := layout.NewEvaluator(inst)
+	init, err := layout.InitialLayout(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchMoveScoring(b, inst, ev, init)
+}
+
+// denseCalibrated builds n objects with seeded run counts and rates, every
+// pair overlapping, on m targets sharing model. Request sizes are drawn
+// between the table's first and last size points, as fitted mean sizes fall,
+// so lookups interpolate the size axis rather than clamp to it.
+func denseCalibrated(b *testing.B, n, m int, model *costmodel.Model) *layout.Instance {
+	b.Helper()
+	rng := rand.New(rand.NewSource(19))
+	axis := model.Read.Sizes
+	lo, hi := axis[0], axis[len(axis)-1]
+	size := func() float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	ov := make([][]float64, n)
+	for i := range ov {
+		ov[i] = make([]float64, n)
+		ov[i][i] = 1
+		for k := 0; k < i; k++ {
+			o := 0.05 + 0.95*rng.Float64()
+			ov[i][k], ov[k][i] = o, o
+		}
+	}
+	ws := make([]*rome.Workload, n)
+	objs := make([]layout.Object, n)
+	for i := range ws {
+		ws[i] = &rome.Workload{
+			Name:      fmt.Sprintf("O%d", i),
+			ReadSize:  size(),
+			ReadRate:  1 + 60*rng.Float64(),
+			WriteSize: size(),
+			WriteRate: 10 * rng.Float64(),
+			RunCount:  float64(1 + rng.Intn(64)),
+			Overlap:   ov[i],
+		}
+		objs[i] = layout.Object{Name: ws[i].Name, Size: int64(256+rng.Intn(4096)) << 20, Kind: layout.KindTable}
+	}
+	set, err := rome.NewSet(ws...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	targets := make([]*layout.Target, m)
+	for j := range targets {
+		targets[j] = &layout.Target{Name: fmt.Sprintf("disk%d", j), Capacity: 1 << 40, Model: model}
+	}
+	inst := &layout.Instance{Objects: objs, Targets: targets, Workloads: set}
+	if err := inst.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	return inst
+}
+
+// benchMoveScoring times one tryMove per iteration on both evaluation
+// paths, cycling the moved object and the destination target.
+func benchMoveScoring(b *testing.B, inst *layout.Instance, ev *layout.Evaluator, init *layout.Layout) {
 	for _, p := range evalPaths(ev) {
 		b.Run(p.name, func(b *testing.B) {
 			s := newTransferState(p.ev, inst, init.Clone())
