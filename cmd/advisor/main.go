@@ -117,20 +117,6 @@ type problemFile struct {
 	Current [][]float64 `json:"current"`
 }
 
-func kindOf(s string) (dblayout.ObjectKind, error) {
-	switch strings.ToLower(s) {
-	case "table", "":
-		return dblayout.KindTable, nil
-	case "index":
-		return dblayout.KindIndex, nil
-	case "log":
-		return dblayout.KindLog, nil
-	case "temp":
-		return dblayout.KindTemp, nil
-	}
-	return 0, fmt.Errorf("unknown object kind %q", s)
-}
-
 // modelFor resolves a target's model reference.
 func modelFor(ref string, cache map[string]*costmodel.Model) (*costmodel.Model, error) {
 	if m, ok := cache[ref]; ok {
@@ -148,19 +134,17 @@ func modelFor(ref string, cache map[string]*costmodel.Model) (*costmodel.Model, 
 		if err != nil {
 			return nil, err
 		}
-	case ref == "disk15k" || ref == "":
-		fmt.Fprintln(os.Stderr, "calibrating disk15k model (one-time)...")
-		m = dblayout.CalibrateDisk()
-	case ref == "disk7200":
-		fmt.Fprintln(os.Stderr, "calibrating disk7200 model (one-time)...")
-		m = costmodel.Calibrate("disk7200", func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk7200Config())
-		}, costmodel.DefaultGrid())
-	case ref == "ssd":
-		fmt.Fprintln(os.Stderr, "calibrating ssd model (one-time)...")
-		m = dblayout.CalibrateSSD()
 	default:
-		return nil, fmt.Errorf("unknown model %q (want disk15k, disk7200, ssd, or @file.json)", ref)
+		name := ref
+		if name == "" {
+			name = "disk15k"
+		}
+		factory, err := dblayout.DeviceFactory(name)
+		if err != nil {
+			return nil, fmt.Errorf("unknown model %q (want disk15k, disk7200, ssd, or @file.json)", ref)
+		}
+		fmt.Fprintf(os.Stderr, "calibrating %s model (one-time)...\n", name)
+		m = costmodel.Calibrate(name, factory, costmodel.DefaultGrid())
 	}
 	cache[ref] = m
 	return m, nil
@@ -217,7 +201,7 @@ func run() error {
 
 	p := dblayout.Problem{Workloads: pf.Workloads}
 	for _, o := range pf.Objects {
-		kind, err := kindOf(o.Kind)
+		kind, err := dblayout.ParseObjectKind(o.Kind)
 		if err != nil {
 			return err
 		}
@@ -332,28 +316,6 @@ func deviceFor(name, model string, capacity int64) (replay.DeviceSpec, error) {
 	return replay.DeviceSpec{}, fmt.Errorf("cannot simulate model %q for target %q: -execute needs a built-in device type (disk15k, disk7200, ssd)", model, name)
 }
 
-// currentLayout resolves the migration's starting layout: the problem
-// file's "current" matrix when present, SEE otherwise.
-func currentLayout(pf *problemFile, n, m int) (*layout.Layout, error) {
-	if pf.Current == nil {
-		return layout.SEE(n, m), nil
-	}
-	if len(pf.Current) != n {
-		return nil, fmt.Errorf("\"current\" has %d rows for %d objects", len(pf.Current), n)
-	}
-	l := layout.New(n, m)
-	for i, row := range pf.Current {
-		if len(row) != m {
-			return nil, fmt.Errorf("\"current\" row %d has %d fractions for %d targets", i, len(row), m)
-		}
-		l.SetRow(i, row)
-	}
-	if err := l.CheckIntegrity(); err != nil {
-		return nil, fmt.Errorf("\"current\" layout: %w", err)
-	}
-	return l, nil
-}
-
 // executeMigration simulates the online migration from the current layout
 // to the recommended one against an idle system, journaling every move so
 // an interrupted run resumes from its checkpoint.
@@ -372,7 +334,7 @@ func executeMigration(pf *problemFile, p dblayout.Problem, target *dblayout.Layo
 		sys.Devices = append(sys.Devices, spec)
 		caps[j] = t.CapacityMB << 20
 	}
-	current, err := currentLayout(pf, len(p.Objects), len(pf.Targets))
+	current, err := dblayout.LayoutFromRows(pf.Current, len(p.Objects), len(pf.Targets))
 	if err != nil {
 		return err
 	}
@@ -411,16 +373,7 @@ func executeMigration(pf *problemFile, p dblayout.Problem, target *dblayout.Layo
 	cur, tgt := current, target
 	var failed []int
 	for attempt := 1; ; attempt++ {
-		scratchCaps := caps
-		if len(failed) > 0 {
-			scratchCaps = append([]int64(nil), caps...)
-			for _, j := range failed {
-				if j >= 0 && j < len(scratchCaps) {
-					scratchCaps[j] = 0
-				}
-			}
-		}
-		scratch := migrate.AutoScratch(cur, tgt, sizes, scratchCaps)
+		scratch := migrate.AutoScratch(cur, tgt, sizes, control.ScratchCapacities(caps, failed))
 		if opt.scratchMB > 0 {
 			scratch.Bytes = opt.scratchMB << 20
 		}

@@ -15,25 +15,16 @@ import (
 	"strconv"
 	"strings"
 
+	"dblayout"
 	"dblayout/internal/costmodel"
 	"dblayout/internal/storage"
 )
 
 func factoryFor(device string) (costmodel.TargetFactory, error) {
-	switch {
-	case device == "disk15k":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk15KConfig())
-		}, nil
-	case device == "disk7200":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk7200Config())
-		}, nil
-	case device == "ssd":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewSSD(e, "ssd", storage.SSD32Config())
-		}, nil
-	case strings.HasPrefix(device, "raid0x"):
+	if f, err := dblayout.DeviceFactory(device); err == nil {
+		return f, nil
+	}
+	if strings.HasPrefix(device, "raid0x") {
 		n, err := strconv.Atoi(device[len("raid0x"):])
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad RAID member count in %q", device)

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 	"time"
 
 	"dblayout/internal/core"
@@ -337,20 +338,79 @@ func FitWorkloads(tr *Trace, names []string, opt FitOptions) (*WorkloadSet, erro
 	})
 }
 
+// ParseObjectKind parses a problem document's object kind: "table" (also
+// the empty string), "index", "log" or "temp", in any case.
+func ParseObjectKind(s string) (ObjectKind, error) {
+	switch strings.ToLower(s) {
+	case "table", "":
+		return KindTable, nil
+	case "index":
+		return KindIndex, nil
+	case "log":
+		return KindLog, nil
+	case "temp":
+		return KindTemp, nil
+	}
+	return 0, fmt.Errorf("unknown object kind %q", s)
+}
+
+// DeviceFactory returns the calibration factory of a built-in simulated
+// device type: "disk15k", "disk7200" or "ssd".
+func DeviceFactory(name string) (costmodel.TargetFactory, error) {
+	switch name {
+	case "disk15k":
+		return func(e *storage.Engine) storage.Device {
+			return storage.NewDisk(e, "disk", storage.Disk15KConfig())
+		}, nil
+	case "disk7200":
+		return func(e *storage.Engine) storage.Device {
+			return storage.NewDisk(e, "disk", storage.Disk7200Config())
+		}, nil
+	case "ssd":
+		return func(e *storage.Engine) storage.Device {
+			return storage.NewSSD(e, "ssd", storage.SSD32Config())
+		}, nil
+	}
+	return nil, fmt.Errorf("unknown device type %q", name)
+}
+
+// LayoutFromRows builds a layout from a problem document's fraction matrix
+// (one row of per-target fractions per object) for n objects on m targets.
+// Nil rows give SEE, the layout an absent "current" matrix stands for.
+func LayoutFromRows(rows [][]float64, n, m int) (*Layout, error) {
+	if rows == nil {
+		return layout.SEE(n, m), nil
+	}
+	if len(rows) != n {
+		return nil, fmt.Errorf("\"current\" has %d rows for %d objects", len(rows), n)
+	}
+	l := layout.New(n, m)
+	for i, row := range rows {
+		if len(row) != m {
+			return nil, fmt.Errorf("\"current\" row %d has %d fractions for %d targets", i, len(row), m)
+		}
+		l.SetRow(i, row)
+	}
+	if err := l.CheckIntegrity(); err != nil {
+		return nil, fmt.Errorf("\"current\" layout: %w", err)
+	}
+	return l, nil
+}
+
 // CalibrateDisk builds a cost model for the built-in 15K RPM disk simulator
 // using the full calibration sweep. For custom devices use
 // costmodel.Calibrate directly.
-func CalibrateDisk() *CostModel {
-	return costmodel.Calibrate("disk15k", func(e *storage.Engine) storage.Device {
-		return storage.NewDisk(e, "disk", storage.Disk15KConfig())
-	}, costmodel.DefaultGrid())
-}
+func CalibrateDisk() *CostModel { return calibrateBuiltin("disk15k") }
 
 // CalibrateSSD builds a cost model for the built-in SSD simulator.
-func CalibrateSSD() *CostModel {
-	return costmodel.Calibrate("ssd", func(e *storage.Engine) storage.Device {
-		return storage.NewSSD(e, "ssd", storage.SSD32Config())
-	}, costmodel.DefaultGrid())
+func CalibrateSSD() *CostModel { return calibrateBuiltin("ssd") }
+
+func calibrateBuiltin(name string) *CostModel {
+	factory, err := DeviceFactory(name)
+	if err != nil {
+		panic(err)
+	}
+	return costmodel.Calibrate(name, factory, costmodel.DefaultGrid())
 }
 
 // SaveModel writes a cost model as JSON.

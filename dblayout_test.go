@@ -164,3 +164,29 @@ func TestPublicConstraints(t *testing.T) {
 		}
 	}
 }
+
+// TestParseObjectKindAndDeviceFactory pins the shared problem-document
+// vocabulary: object kinds and built-in device types.
+func TestParseObjectKindAndDeviceFactory(t *testing.T) {
+	for in, want := range map[string]dblayout.ObjectKind{
+		"": dblayout.KindTable, "Table": dblayout.KindTable, "index": dblayout.KindIndex,
+		"LOG": dblayout.KindLog, "temp": dblayout.KindTemp,
+	} {
+		if got, err := dblayout.ParseObjectKind(in); err != nil || got != want {
+			t.Errorf("ParseObjectKind(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := dblayout.ParseObjectKind("view"); err == nil {
+		t.Error("unknown object kind accepted")
+	}
+	for _, name := range []string{"disk15k", "disk7200", "ssd"} {
+		if f, err := dblayout.DeviceFactory(name); err != nil || f == nil {
+			t.Errorf("DeviceFactory(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "@model.json", "raid0x4"} {
+		if _, err := dblayout.DeviceFactory(name); err == nil {
+			t.Errorf("DeviceFactory(%q) accepted", name)
+		}
+	}
+}

@@ -122,8 +122,8 @@ type Config struct {
 	MaxBackoffWindows  int
 
 	// Migration tunes the engine (copy rate, queue share, chunking).
-	// Journal, Resume, Checkpoint, Scratch and FailedSources are managed
-	// by the controller and must be left unset.
+	// Journal, Resume, Checkpoint, Scratch, FailedSources and Metrics are
+	// managed by the controller's epoch runner and must be left unset.
 	Migration migrate.Options
 
 	// Logger, Events and Metrics are optional observability sinks, passed
@@ -192,22 +192,15 @@ type Status struct {
 // simulation event loop (as they do under replay and in the chaos harness).
 type Controller struct {
 	cfg Config
-	jw  *journalWriter
+	run *Runner // the journal's epoch lifecycle: layout, epoch, attempt, failed targets
 
 	utilDet    *obs.Detector
 	overlapDet *obs.Detector
 
-	current *layout.Layout
-	epoch   int
-	attempt int // attempt number the next try carries (1 = fresh episode)
-	failed  []int
-
 	phase    Phase
 	cooldown int
 	backoff  int
-	engine   *migrate.Engine
 
-	lastFit *rubicon.WindowFit
 	windows int64
 	actions []Action
 	err     error // sticky crash (or terminal resume) error
@@ -236,12 +229,19 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Instance.Validate(); err != nil {
 		return nil, fmt.Errorf("control: instance: %w", err)
 	}
-	c := &Controller{
-		cfg:     cfg,
-		jw:      &journalWriter{w: cfg.Journal},
-		attempt: 1,
-		phase:   PhaseObserving,
-	}
+	cfg.Migration.Metrics = cfg.Metrics
+	c := &Controller{cfg: cfg, phase: PhaseObserving}
+	c.run = NewRunner(RunnerConfig{
+		N: cfg.Instance.N(), M: cfg.Instance.M(), Seed: cfg.Seed,
+		Journal: cfg.Journal, IO: cfg.IO,
+		Policy: Policy{
+			MaxAttempts: cfg.MaxAttempts,
+			BaseBackoff: cfg.BaseBackoffWindows,
+			MaxBackoff:  cfg.MaxBackoffWindows,
+			Cooldown:    cfg.CooldownWindows,
+		},
+		OnEvent: c.onEvent,
+	})
 	det := func(threshold float64) *obs.Detector {
 		if threshold < 0 {
 			return nil // nil Detector ignores observations
@@ -274,84 +274,41 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Instance.ValidateLayout(cfg.Current); err != nil {
 		return nil, fmt.Errorf("control: starting layout: %w", err)
 	}
-	c.current = cfg.Current.Clone()
-	rows := make([][]float64, c.current.N)
-	for i := range rows {
-		rows[i] = c.current.Row(i)
-	}
-	if !c.journal(Record{T: recBegin, N: c.current.N, M: c.current.M, Rows: rows, Seed: cfg.Seed}) {
-		return nil, c.err
+	if err := c.run.Begin(cfg.Current); err != nil {
+		return nil, err
 	}
 	c.setPhase(PhaseObserving)
 	return c, nil
 }
 
-// resume reconstructs controller state from a prior journal and restarts any
-// in-flight migration epoch.
+// resume reconstructs controller state from a prior journal. The runner
+// settles the epoch the crash left open (closing it, restarting its engine,
+// or re-making its retry decision), reporting through onEvent; otherwise the
+// journal's pending retry or cooldown restarts its countdown.
 func (c *Controller) resume(data []byte) error {
 	ck, err := Recover(data)
 	if err != nil {
 		return err
 	}
-	if ck.N != c.cfg.Instance.N() || ck.M != c.cfg.Instance.M() {
-		return fmt.Errorf("control: journal is for a %dx%d instance, config has %dx%d",
-			ck.N, ck.M, c.cfg.Instance.N(), c.cfg.Instance.M())
+	if err := c.run.Resume(ck, c.cfg.Migration); err != nil {
+		return err
 	}
-	if ck.Seed != c.cfg.Seed {
-		return fmt.Errorf("control: journal seed %d does not match config seed %d", ck.Seed, c.cfg.Seed)
-	}
-	c.current = ck.Current
-	c.epoch = ck.Epoch
-	c.attempt = ck.Attempt
-	c.failed = ck.Failed
-	c.act(Action{Kind: "resume", Time: c.cfg.IO.Now(), Epoch: c.epoch, Attempt: c.attempt})
-
-	if open := ck.Open; open != nil {
-		mck := open.Checkpoint
-		switch {
-		case mck != nil && mck.Done:
-			// The engine finished but the crash beat the outcome record.
-			mck.ApplyCommitted(c.current)
-			c.finishDone(open.Plan.Epoch)
-		case mck != nil && mck.Aborted:
-			// Likewise for an abort: close the epoch and decide the retry
-			// now; both are deterministic, so this is exactly-once.
-			mck.ApplyCommitted(c.current)
-			c.finishAborted(open.Plan.Epoch, mck.Failed,
-				fmt.Errorf("resumed after abort, targets %v failed", mck.Failed))
-		default:
-			// Mid-flight (or crashed before the engine journaled its plan
-			// record): restart the engine from the checkpoint.
-			if err := c.startEngine(open.Plan, mck); err != nil {
-				return fmt.Errorf("control: resuming epoch %d: %w", open.Plan.Epoch, err)
-			}
-		}
-		return c.err
-	}
-	if ck.NeedRetryDecision {
-		// The crash landed between an aborted outcome and its retry
-		// decision. The decision is deterministic given the journal, so
-		// re-making it here is exactly-once. An exhausted budget is
-		// informational (the loop enters cooldown); only a fresh crash
-		// fails the resume.
-		_ = c.scheduleRetry("abort", fmt.Errorf("resumed after aborted epoch %d", ck.Epoch))
-		return c.err
-	}
-	if ck.Retry != nil {
+	switch {
+	case c.phase != PhaseObserving:
+		// The runner closed, resumed or decided the open epoch.
+	case ck.Retry != nil:
 		// The backoff countdown is not journaled per window; restart it in
 		// full from the journaled delay (conservative: a crash can only
 		// lengthen the wait, never double-start the retry).
 		c.backoff = ck.Retry.Delay
 		c.setPhase(PhaseBackoff)
-		return nil
-	}
-	if ck.Cooling {
+	case ck.Cooling:
 		// Same conservatism for the cooldown countdown.
 		c.cooldown = c.cfg.CooldownWindows
 		c.setPhase(PhaseCooldown)
-		return nil
+	default:
+		c.setPhase(PhaseObserving)
 	}
-	c.setPhase(PhaseObserving)
 	return nil
 }
 
@@ -367,8 +324,6 @@ func (c *Controller) ObserveFit(fit rubicon.WindowFit) error {
 		return c.err
 	}
 	c.windows++
-	f := fit
-	c.lastFit = &f
 
 	// Detection runs in every phase so signal hysteresis tracks the
 	// workload continuously; what changes per phase is whether an event
@@ -437,7 +392,7 @@ func (c *Controller) predictedUtil(fit rubicon.WindowFit) (u float64, err error)
 		return 0, fmt.Errorf("control: window fit has %d workloads for %d objects",
 			workloadCount(fit), inst.N())
 	}
-	return layout.NewEvaluator(inst).MaxUtilization(c.current), nil
+	return layout.NewEvaluator(inst).MaxUtilization(c.run.Current()), nil
 }
 
 func workloadCount(fit rubicon.WindowFit) int {
@@ -460,16 +415,17 @@ func (c *Controller) instanceFor(fit rubicon.WindowFit) *layout.Instance {
 // engine. Hard failures feed the retry policy; the degradation ladder inside
 // the advisor absorbs soft ones.
 func (c *Controller) readvise(fit rubicon.WindowFit, reason string) error {
-	attempt := c.attempt
-	epoch := c.epoch + 1
+	attempt := c.run.attempt
+	epoch := c.run.Epoch() + 1
 	target, gain, repair, err := c.advise(fit, epoch, attempt)
 	if err != nil {
 		return c.retryFailure(fit, "advise", err)
 	}
 
+	current := c.run.Current()
 	sizes := c.cfg.Instance.Sizes()
 	caps := c.cfg.Instance.Capacities()
-	plan, err := layout.MigrationPlan(c.current, target, sizes)
+	plan, err := layout.MigrationPlan(current, target, sizes)
 	if err != nil {
 		return c.retryFailure(fit, "plan", err)
 	}
@@ -477,20 +433,8 @@ func (c *Controller) readvise(fit rubicon.WindowFit, reason string) error {
 		c.skip(fit, reason, gain, "advised layout equals current")
 		return nil
 	}
-	// Scratch selection sees failed targets as capacity zero: after an
-	// evacuation the failed device has the most free space of all, and
-	// AutoScratch must never stage data onto it.
-	scratchCaps := caps
-	if len(c.failed) > 0 {
-		scratchCaps = append([]int64(nil), caps...)
-		for _, j := range c.failed {
-			if j >= 0 && j < len(scratchCaps) {
-				scratchCaps[j] = 0
-			}
-		}
-	}
-	scratch := migrate.AutoScratch(c.current, target, sizes, scratchCaps)
-	steps, err := migrate.BuildScript(c.current, plan, sizes, caps, scratch)
+	scratch := migrate.AutoScratch(current, target, sizes, ScratchCapacities(caps, c.run.failed))
+	steps, err := migrate.BuildScript(current, plan, sizes, caps, scratch)
 	if err != nil {
 		return c.retryFailure(fit, "plan", err)
 	}
@@ -513,26 +457,10 @@ func (c *Controller) readvise(fit rubicon.WindowFit, reason string) error {
 		}
 	}
 
-	rec := Record{
-		T: recPlan, Epoch: epoch, Attempt: attempt,
-		Steps: steps, Scratch: &scratch, Reason: reason, Gain: gain,
-		Sources: append([]int(nil), c.failed...),
+	if err := c.run.Open(Plan{Steps: steps, Scratch: scratch, Reason: reason, Gain: gain}, c.cfg.Migration); err != nil {
+		return err
 	}
-	if !c.journal(rec) {
-		return c.err
-	}
-	c.epoch = epoch
 	c.mEpoch.Set(float64(epoch))
-	if err := c.startEngine(rec, nil); err != nil {
-		// The script validated in BuildScript, so this is unexpected —
-		// but feeding it the retry policy keeps the loop alive. The
-		// opened epoch closes as aborted with no engine records is not
-		// representable, so treat it as a crash: the journal must not be
-		// left with a dangling cplan that never aborts.
-		c.err = fmt.Errorf("control: engine start: %w", err)
-		c.setPhase(PhaseCrashed)
-		return c.err
-	}
 	c.act(Action{Kind: "migrate-start", Window: fit.Window, Time: fit.End,
 		Epoch: epoch, Attempt: attempt, Signal: reason, Gain: gain,
 		Detail: fmt.Sprintf("%d steps, %d bytes", len(steps), migrate.ScriptBytes(steps))})
@@ -553,8 +481,9 @@ func (c *Controller) advise(fit rubicon.WindowFit, epoch, attempt int) (target *
 
 	uCur, uErr := c.predictedUtil(fit)
 
+	failed := c.run.failed
 	if c.placesOnFailed() {
-		rep, rerr := core.RecommendRepair(context.Background(), inst, c.current, c.failed, opt)
+		rep, rerr := core.RecommendRepair(context.Background(), inst, c.run.Current(), failed, opt)
 		if rerr != nil {
 			return nil, 0, false, rerr
 		}
@@ -564,10 +493,10 @@ func (c *Controller) advise(fit rubicon.WindowFit, epoch, attempt int) (target *
 		return rep.Layout, gain, true, nil
 	}
 
-	if len(c.failed) > 0 {
-		inst, err = denyFailed(inst, c.failed)
+	if len(failed) > 0 {
+		inst, err = core.DenyTargets(inst, failed)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, 0, false, fmt.Errorf("control: denying failed targets: %w", err)
 		}
 	}
 	adv, aerr := core.New(inst, opt)
@@ -587,9 +516,10 @@ func (c *Controller) advise(fit rubicon.WindowFit, epoch, attempt int) (target *
 // placesOnFailed reports whether the current layout still stores bytes on a
 // failed target — the condition that switches re-advising into repair mode.
 func (c *Controller) placesOnFailed() bool {
-	for _, j := range c.failed {
-		for i := 0; i < c.current.N; i++ {
-			if c.current.At(i, j) > layout.Epsilon {
+	cur := c.run.Current()
+	for _, j := range c.run.failed {
+		for i := 0; i < cur.N; i++ {
+			if cur.At(i, j) > layout.Epsilon {
 				return true
 			}
 		}
@@ -597,136 +527,46 @@ func (c *Controller) placesOnFailed() bool {
 	return false
 }
 
-// denyFailed clones the instance with Deny constraints excluding the failed
-// targets for every object, so the advisor never places data on them again.
-func denyFailed(inst *layout.Instance, failed []int) (*layout.Instance, error) {
-	out := *inst
-	cons := &layout.Constraints{Deny: make(map[int][]int, inst.N())}
-	if old := inst.Constraints; old != nil {
-		cons.Allow = make(map[int][]int, len(old.Allow))
-		for i, ts := range old.Allow {
-			cons.Allow[i] = append([]int(nil), ts...)
-		}
-		for i, ts := range old.Deny {
-			cons.Deny[i] = append([]int(nil), ts...)
-		}
-		cons.Separate = append([][2]int(nil), old.Separate...)
-	}
-	for i := 0; i < inst.N(); i++ {
-		cons.Deny[i] = append(cons.Deny[i], failed...)
-	}
-	out.Constraints = cons
-	if err := cons.Validate(inst.N(), inst.M()); err != nil {
-		return nil, fmt.Errorf("control: denying failed targets: %w", err)
-	}
-	return &out, nil
-}
-
-// startEngine constructs and starts the migration engine for an epoch, fresh
-// (ck nil — the engine journals its own plan record) or resumed from a
-// recovered checkpoint.
-func (c *Controller) startEngine(plan Record, ck *migrate.Checkpoint) error {
-	opt := c.cfg.Migration
-	opt.Journal = c.cfg.Journal
-	opt.Checkpoint = ck
-	if plan.Scratch != nil {
-		opt.Scratch = *plan.Scratch
-	}
-	opt.FailedSources = append([]int(nil), c.failed...)
-	opt.Metrics = c.cfg.Metrics
-	epoch := plan.Epoch
-	eng, err := migrate.NewEngine(c.cfg.IO, c.current, plan.Steps, opt, func(res *migrate.Result) {
-		c.onMigrationDone(epoch, res)
-	})
-	if err != nil {
-		return err
-	}
-	c.engine = eng
-	c.setPhase(PhaseMigrating)
-	eng.Start()
-	return nil
-}
-
-// onMigrationDone is the engine's completion callback, running on the
-// simulation event loop.
-func (c *Controller) onMigrationDone(epoch int, res *migrate.Result) {
-	c.engine = nil
-	if res.Crashed {
-		c.err = res.Err
-		c.setPhase(PhaseCrashed)
-		return
-	}
-	c.current = res.Layout.Clone()
-	if res.Done {
-		c.finishDone(epoch)
-		return
-	}
-	c.finishAborted(epoch, res.FailedTargets, res.Err)
-}
-
-// finishDone closes a successful epoch: outcome record, cooldown, fresh
-// attempt counter.
-func (c *Controller) finishDone(epoch int) {
-	if !c.journal(Record{T: recOutcome, Epoch: epoch, Outcome: outcomeDone, Cooldown: c.cfg.CooldownWindows}) {
-		return
-	}
-	c.attempt = 1
-	c.cooldown = c.cfg.CooldownWindows
-	c.act(Action{Kind: "migrate-done", Time: c.cfg.IO.Now(), Epoch: epoch})
-	c.setPhase(PhaseCooldown)
-}
-
-// finishAborted closes an aborted epoch and feeds the retry policy.
-func (c *Controller) finishAborted(epoch int, failedTargets []int, cause error) {
-	if !c.journal(Record{T: recOutcome, Epoch: epoch, Outcome: outcomeAborted, Failed: failedTargets}) {
-		return
-	}
-	c.failed = mergeFailed(c.failed, failedTargets)
-	c.act(Action{Kind: "abort", Time: c.cfg.IO.Now(), Epoch: epoch,
-		Detail: fmt.Sprintf("targets %v failed", failedTargets)})
-	c.scheduleRetry("abort", cause)
-}
-
 // retryFailure handles a failed re-advise or planning step (no epoch was
 // opened) through the same retry policy as an abort.
 func (c *Controller) retryFailure(fit rubicon.WindowFit, stage string, cause error) error {
 	c.act(Action{Kind: "retry", Window: fit.Window, Time: fit.End,
-		Attempt: c.attempt, Detail: fmt.Sprintf("%s failed: %v", stage, cause)})
-	return c.scheduleRetry(stage, cause)
+		Attempt: c.run.attempt, Detail: fmt.Sprintf("%s failed: %v", stage, cause)})
+	return c.run.Fail(stage, cause)
 }
 
-// scheduleRetry journals the retry decision: backoff before the next attempt,
-// or a terminal cfail when the budget is spent. Deterministic given the
-// journal, so a crash between the outcome and this record replays the same
-// decision. Returns the sticky crash error, ErrRetriesExhausted on
-// exhaustion (informational — the loop enters cooldown and keeps running),
-// or nil.
-func (c *Controller) scheduleRetry(stage string, cause error) error {
-	if c.attempt >= c.cfg.MaxAttempts {
-		if !c.journal(Record{T: recFail, Attempt: c.attempt, Cause: fmt.Sprint(cause)}) {
-			return c.err
-		}
-		rerr := &RetryError{Epoch: c.epoch, Attempts: c.attempt, Cause: cause, Reason: stage}
-		c.act(Action{Kind: "give-up", Time: c.cfg.IO.Now(), Epoch: c.epoch,
-			Attempt: c.attempt, Detail: rerr.Error()})
+// onEvent turns the runner's lifecycle transitions into the controller's
+// phases, countdowns, actions and metrics.
+func (c *Controller) onEvent(ev Event) {
+	now := c.cfg.IO.Now()
+	switch ev.Kind {
+	case EventResumed:
+		c.act(Action{Kind: "resume", Time: now, Epoch: ev.Epoch, Attempt: ev.Attempt})
+	case EventStarted:
+		c.setPhase(PhaseMigrating)
+	case EventDone:
+		c.cooldown = c.cfg.CooldownWindows
+		c.act(Action{Kind: "migrate-done", Time: now, Epoch: ev.Epoch})
+		c.setPhase(PhaseCooldown)
+	case EventAborted:
+		c.act(Action{Kind: "abort", Time: now, Epoch: ev.Epoch,
+			Detail: fmt.Sprintf("targets %v failed", ev.Failed)})
+	case EventRetry:
+		c.backoff = ev.Delay
+		c.mRetries.Inc()
+		c.act(Action{Kind: "retry", Time: now, Epoch: ev.Epoch,
+			Attempt: ev.Attempt, Detail: fmt.Sprintf("backoff %d windows after %s failure", ev.Delay, ev.Stage)})
+		c.setPhase(PhaseBackoff)
+	case EventGaveUp:
+		c.act(Action{Kind: "give-up", Time: now, Epoch: ev.Epoch,
+			Attempt: ev.Attempt, Detail: ev.Err.Error()})
 		c.mFailures.Inc()
-		c.attempt = 1
 		c.cooldown = c.cfg.CooldownWindows
 		c.setPhase(PhaseCooldown)
-		return rerr
+	case EventCrashed:
+		c.err = ev.Err
+		c.setPhase(PhaseCrashed)
 	}
-	next := c.attempt + 1
-	delay := c.backoffDelay(next)
-	if !c.journal(Record{T: recRetry, Epoch: c.epoch, Attempt: next, Delay: delay, Cause: fmt.Sprint(cause)}) {
-		return c.err
-	}
-	c.attempt = next
-	c.backoff = delay
-	c.mRetries.Inc()
-	c.act(Action{Kind: "retry", Time: c.cfg.IO.Now(), Epoch: c.epoch,
-		Attempt: next, Detail: fmt.Sprintf("backoff %d windows after %s failure", delay, stage)})
-	c.setPhase(PhaseBackoff)
-	return nil
 }
 
 // skip records a gated (not acted upon) detection and returns the loop to
@@ -737,18 +577,6 @@ func (c *Controller) skip(fit rubicon.WindowFit, reason string, gain float64, de
 	c.act(Action{Kind: "skip", Window: fit.Window, Time: fit.End,
 		Signal: reason, Gain: gain, Detail: detail})
 	c.setPhase(PhaseObserving)
-}
-
-// journal appends one controller record, treating any write failure as a
-// crash: the controller stops immediately without applying the transition
-// the record announced. Returns false when the controller crashed.
-func (c *Controller) journal(r Record) bool {
-	if err := c.jw.append(r); err != nil {
-		c.err = fmt.Errorf("control: journal write failed: %w", err)
-		c.setPhase(PhaseCrashed)
-		return false
-	}
-	return true
 }
 
 func (c *Controller) setPhase(p Phase) {
@@ -774,18 +602,18 @@ func (c *Controller) act(a Action) {
 func (c *Controller) Status() Status {
 	return Status{
 		Phase:    c.phase,
-		Epoch:    c.epoch,
-		Attempt:  c.attempt,
+		Epoch:    c.run.Epoch(),
+		Attempt:  c.run.attempt,
 		Cooldown: c.cooldown,
 		Backoff:  c.backoff,
-		Failed:   append([]int(nil), c.failed...),
+		Failed:   append([]int(nil), c.run.failed...),
 		Windows:  c.windows,
 	}
 }
 
 // CurrentLayout returns a copy of the layout the controller believes the
 // system implements (base plus every committed migration step).
-func (c *Controller) CurrentLayout() *layout.Layout { return c.current.Clone() }
+func (c *Controller) CurrentLayout() *layout.Layout { return c.run.Current().Clone() }
 
 // Actions returns a copy of the action log, in order.
 func (c *Controller) Actions() []Action { return append([]Action(nil), c.actions...) }

@@ -341,8 +341,8 @@ func TestBackoffDelayShape(t *testing.T) {
 	cap := c.cfg.MaxBackoffWindows
 	prevFloor := 0
 	for attempt := 2; attempt <= 8; attempt++ {
-		d := c.backoffDelay(attempt)
-		if d2 := c.backoffDelay(attempt); d2 != d {
+		d := c.run.backoffDelay(attempt)
+		if d2 := c.run.backoffDelay(attempt); d2 != d {
 			t.Fatalf("attempt %d: backoff not deterministic (%d vs %d)", attempt, d, d2)
 		}
 		floor := base

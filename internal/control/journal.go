@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"slices"
 
 	"dblayout/internal/layout"
 	"dblayout/internal/migrate"
@@ -31,7 +31,9 @@ import (
 // coutcome closes the epoch as "done" or "aborted". An aborted outcome (or a
 // failed re-advise) is followed by a cretry scheduling the next attempt, or
 // by a cfail when the retry budget is spent. A journal may end anywhere — a
-// crash — and Recover reconstructs the exact resume point.
+// crash — and Recover reconstructs the exact resume point. Runner is the
+// only writer of controller records and the only reader of the open epoch a
+// Checkpoint reports.
 
 // Controller record types.
 const (
@@ -77,29 +79,6 @@ type Record struct {
 	// cretry / cfail: the retry decision after a failure.
 	Delay int    `json:"delay,omitempty"` // refit windows until the next attempt
 	Cause string `json:"cause,omitempty"`
-}
-
-// journalWriter appends CRC-framed controller records to a sink. A nil
-// writer (no journal configured) accepts everything silently. Every
-// controller record is a commit point (each one advances the loop's state
-// machine), so each append fsyncs a sync-capable sink before the
-// transition it announces takes effect.
-type journalWriter struct {
-	w io.Writer
-}
-
-func (j *journalWriter) append(r Record) error {
-	if j == nil || j.w == nil {
-		return nil
-	}
-	body, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	if err := wal.Append(j.w, body); err != nil {
-		return err
-	}
-	return wal.Sync(j.w)
 }
 
 // typeTag is the minimal decode that routes a frame to its namespace.
@@ -403,22 +382,11 @@ func recoverSegment(open *OpenEpoch, idx int) (*migrate.Checkpoint, error) {
 func mergeFailed(have, add []int) []int {
 	out := append([]int(nil), have...)
 	for _, j := range add {
-		seen := false
-		for _, k := range out {
-			if k == j {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(out, j) {
 			out = append(out, j)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k] < out[k-1]; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -10,22 +10,23 @@ const (
 	streamJitter int64 = 2
 )
 
-// backoffDelay computes the deterministic retry backoff, in refit windows,
-// before the given attempt runs: exponential in the attempt number
-// (base, 2×base, 4×base, ...) capped at MaxBackoffWindows, plus a seeded
-// jitter in [0, base] derived from the (epoch, attempt) identity so
-// simultaneous controllers sharing a base seed do not retry in lockstep.
-// Attempt 2 is the first retry.
-func (c *Controller) backoffDelay(attempt int) int {
-	d := c.cfg.BaseBackoffWindows
-	for i := 2; i < attempt && d < c.cfg.MaxBackoffWindows; i++ {
+// backoffDelay computes the deterministic retry backoff, in the policy's
+// ticks, before the given attempt runs: exponential in the attempt number
+// (base, 2×base, 4×base, ...) capped at MaxBackoff, plus a seeded jitter in
+// [0, base] derived from the (epoch, attempt) identity so simultaneous
+// controllers sharing a base seed do not retry in lockstep. Attempt 2 is the
+// first retry.
+func (r *Runner) backoffDelay(attempt int) int {
+	p := r.cfg.Policy
+	d := p.BaseBackoff
+	for i := 2; i < attempt && d < p.MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > c.cfg.MaxBackoffWindows {
-		d = c.cfg.MaxBackoffWindows
+	if d > p.MaxBackoff {
+		d = p.MaxBackoff
 	}
-	j := seed.Sub(c.cfg.Seed, seed.StreamControl, streamJitter, int64(c.epoch), int64(attempt))
-	return d + int(uint64(j)%uint64(c.cfg.BaseBackoffWindows+1))
+	j := seed.Sub(r.cfg.Seed, seed.StreamControl, streamJitter, int64(r.epoch), int64(attempt))
+	return d + int(uint64(j)%uint64(p.BaseBackoff+1))
 }
 
 // adviseSeed derives the solver seed for one (epoch, attempt) re-advise, so

@@ -116,9 +116,11 @@ func RecommendRepair(ctx context.Context, inst *layout.Instance, current *layout
 		return nil, fmt.Errorf("core: objects need %d bytes but surviving targets provide %d: %w", need, have, ErrInfeasible)
 	}
 
-	rinst, err := denyTargets(inst, failed)
+	rinst, err := DenyTargets(inst, failed)
 	if err != nil {
-		return nil, err
+		// An Allow set contained within the failed targets leaves the
+		// object with nowhere to go.
+		return nil, fmt.Errorf("core: repair: %w", err)
 	}
 
 	rep := &Repair{Instance: rinst, Failed: failed}
@@ -238,10 +240,10 @@ func normalizeFailed(failed []int) []int {
 	return out[:dst]
 }
 
-// denyTargets clones the instance with Deny constraints barring every object
+// DenyTargets clones the instance with Deny constraints barring every object
 // from the failed targets. The original instance and its constraint maps are
-// not mutated.
-func denyTargets(inst *layout.Instance, failed []int) (*layout.Instance, error) {
+// not mutated. It fails when the constraints become unsatisfiable.
+func DenyTargets(inst *layout.Instance, failed []int) (*layout.Instance, error) {
 	rinst := *inst
 	c := &layout.Constraints{}
 	if old := inst.Constraints; old != nil {
@@ -263,9 +265,7 @@ func denyTargets(inst *layout.Instance, failed []int) (*layout.Instance, error) 
 	}
 	rinst.Constraints = c
 	if err := c.Validate(inst.N(), inst.M()); err != nil {
-		// An Allow set contained within the failed targets leaves the
-		// object with nowhere to go.
-		return nil, fmt.Errorf("core: repair: %w", err)
+		return nil, err
 	}
 	return &rinst, nil
 }

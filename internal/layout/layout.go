@@ -9,6 +9,7 @@ package layout
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -41,6 +42,20 @@ func (l *Layout) Set(i, j int, v float64) { l.frac[i*l.M+j] = v }
 // Row returns a copy of object i's row.
 func (l *Layout) Row(i int) []float64 {
 	return append([]float64(nil), l.frac[i*l.M:(i+1)*l.M]...)
+}
+
+// Equal reports whether o has the same shape and exactly the same fractions.
+func (l *Layout) Equal(o *Layout) bool {
+	return l.N == o.N && l.M == o.M && slices.Equal(l.frac, o.frac)
+}
+
+// Rows returns a copy of the layout as a fraction matrix, one row per object.
+func (l *Layout) Rows() [][]float64 {
+	rows := make([][]float64, l.N)
+	for i := range rows {
+		rows[i] = l.Row(i)
+	}
+	return rows
 }
 
 // SetRow replaces object i's row.

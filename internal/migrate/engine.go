@@ -7,6 +7,7 @@ import (
 
 	"dblayout/internal/layout"
 	"dblayout/internal/obs"
+	"dblayout/internal/wal"
 )
 
 // IO is the simulation surface the engine drives. *replay.BackgroundIO
@@ -132,7 +133,7 @@ type Engine struct {
 	io    IO
 	steps []Step
 	opt   Options
-	jw    *journalWriter
+	jw    *wal.Writer
 
 	state    []StepState
 	progress []int64 // copied bytes per step (authoritative for the live run)
@@ -214,7 +215,7 @@ func NewEngine(sim IO, base *layout.Layout, steps []Step, opt Options, done func
 		io:        sim,
 		steps:     steps,
 		opt:       opt,
-		jw:        &journalWriter{w: opt.Journal, syncEvery: opt.SyncEvery},
+		jw:        wal.NewWriter(opt.Journal, opt.SyncEvery),
 		state:     make([]StepState, len(steps)),
 		progress:  make([]int64, len(steps)),
 		layout:    base.Clone(),
@@ -533,13 +534,13 @@ func (e *Engine) complete() {
 // engine stops immediately without applying the transition the record
 // announced. Returns false when the engine crashed.
 func (e *Engine) journal(r Record) bool {
-	if err := e.jw.append(r); err != nil {
+	if err := appendRecord(e.jw, r); err != nil {
 		e.res.Crashed = true
 		e.res.Err = fmt.Errorf("migrate: journal write failed: %w", err)
 		e.finish()
 		return false
 	}
-	if e.jw.w != nil {
+	if e.opt.Journal != nil {
 		e.res.JournalRecords++
 		e.mJournal.Inc()
 	}

@@ -14,6 +14,7 @@ import (
 	"dblayout/internal/replay"
 	"dblayout/internal/rome"
 	"dblayout/internal/storage"
+	"dblayout/internal/wal"
 )
 
 const mib = int64(1 << 20)
@@ -424,10 +425,10 @@ func TestCrashAtSyncBoundary(t *testing.T) {
 // always sync, progress records sync every syncEvery-th append.
 func TestJournalWriterSyncBatching(t *testing.T) {
 	w := &powerLossWriter{remaining: 1 << 20}
-	jw := &journalWriter{w: w, syncEvery: 3}
+	jw := wal.NewWriter(w, 3)
 	must := func(r Record) {
 		t.Helper()
-		if err := jw.append(r); err != nil {
+		if err := appendRecord(jw, r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"dblayout/internal/layout"
 	"dblayout/internal/wal"
@@ -73,45 +72,15 @@ type Record struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// journalWriter appends CRC-framed records to a sink. A nil writer (no
-// journal configured) accepts everything silently.
-//
-// Durability: state-transition records (plan, state, abort, done) are
-// fsynced before append returns, so the "journal before transition"
-// protocol holds across power loss, not just process crashes. Progress
-// records may batch syncs (syncEvery > 1): losing one only costs a recopy
-// from the previous durable mark, never correctness.
-type journalWriter struct {
-	w         io.Writer
-	syncEvery int // progress records per forced sync; <= 1 syncs every record
-	unsynced  int // progress records appended since the last sync
-}
-
-// append journals one record. Any write or sync error — including a short
-// write, which leaves a torn line — is a crash from the engine's point of
-// view.
-func (j *journalWriter) append(r Record) error {
-	if j == nil || j.w == nil {
-		return nil
-	}
-	body, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	if err := wal.Append(j.w, body); err != nil {
-		return err
-	}
+// appendRecord journals r under w's sync policy: progress records may batch
+// their fsyncs (losing one only costs a recopy from the previous durable
+// mark), every state-transition record (plan, state, abort, done) is a commit
+// point synced before the transition it announces takes effect.
+func appendRecord(w *wal.Writer, r Record) error {
 	if r.T == "progress" {
-		j.unsynced++
-		if j.syncEvery > 1 && j.unsynced < j.syncEvery {
-			return nil
-		}
+		return w.Progress(r)
 	}
-	if err := wal.Sync(j.w); err != nil {
-		return err
-	}
-	j.unsynced = 0
-	return nil
+	return w.Commit(r)
 }
 
 // DecodeJournal parses journal bytes into records. A torn final line (no

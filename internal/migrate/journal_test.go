@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dblayout/internal/layout"
+	"dblayout/internal/wal"
 )
 
 func sampleSteps() []Step {
@@ -19,7 +20,7 @@ func sampleSteps() []Step {
 func sampleJournal(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	jw := &journalWriter{w: &buf}
+	jw := wal.NewWriter(&buf, 0)
 	scratch := ScratchSpec{Target: 3, Bytes: 8 << 20}
 	for _, r := range []Record{
 		{T: "plan", Steps: sampleSteps(), Scratch: &scratch},
@@ -29,7 +30,7 @@ func sampleJournal(t *testing.T) []byte {
 		{T: "state", Step: 0, State: "committed"},
 		{T: "state", Step: 1, State: "copying"},
 	} {
-		if err := jw.append(r); err != nil {
+		if err := appendRecord(jw, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,11 +192,11 @@ func TestRecoverPendingAbort(t *testing.T) {
 // classify arbitrary input as either a valid journal or ErrJournalCorrupt.
 func FuzzJournalDecode(f *testing.F) {
 	var buf bytes.Buffer
-	jw := &journalWriter{w: &buf}
+	jw := wal.NewWriter(&buf, 0)
 	scratch := ScratchSpec{Target: 3, Bytes: 8 << 20}
-	_ = jw.append(Record{T: "plan", Steps: sampleSteps(), Scratch: &scratch})
-	_ = jw.append(Record{T: "state", Step: 0, State: "copying"})
-	_ = jw.append(Record{T: "progress", Step: 0, Done: 1 << 20})
+	_ = appendRecord(jw, Record{T: "plan", Steps: sampleSteps(), Scratch: &scratch})
+	_ = appendRecord(jw, Record{T: "state", Step: 0, State: "copying"})
+	_ = appendRecord(jw, Record{T: "progress", Step: 0, Done: 1 << 20})
 	f.Add(buf.Bytes())
 	f.Add([]byte(""))
 	f.Add([]byte("00000000 {}\n"))

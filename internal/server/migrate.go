@@ -15,36 +15,40 @@ import (
 	"dblayout/internal/control"
 	"dblayout/internal/layout"
 	"dblayout/internal/migrate"
-	"dblayout/internal/wal"
 )
 
 // Migrations run against a deterministic simulated I/O substrate
 // (control.SimIO) and journal to a per-tenant write-ahead file in the
-// controller journal format: a cbegin record fixes the base layout, each
-// migration opens an epoch with cplan, the engine's own records interleave
-// while the epoch is open, and a coutcome closes it. A daemon restart
-// replays the file through control.Recover and resumes the open epoch's
-// engine from its checkpoint — the engine's journal-before-transition
-// protocol makes the resume exactly-once (no step commits twice, no
-// committed byte is lost or double-counted).
+// controller journal format, through the same control.Runner the autonomic
+// controller uses. The runner owns the epoch lifecycle: cbegin fixes the base
+// layout when the journal is created, each migration opens an epoch with
+// cplan and the engine's own records interleave while it runs, and a
+// coutcome closes it. The daemon's retry policy is one attempt and no
+// cooldown, so an aborted epoch closes terminally (coutcome aborted, then
+// cfail) and clients replan via /repair.
 //
-// A pump goroutine per running migration advances the simulation in small
-// slices on a real-time tick, so migrations are genuinely in flight from
-// the API's point of view: status polls observe intermediate progress, and
-// killing the daemon mid-flight leaves a journal that ends at an arbitrary
-// record boundary, exactly like a crash.
+// The daemon keeps the file handling, the clock and HTTP. A restart reads the
+// journal, truncates a torn tail, quarantines a journal that does not recover
+// (or was written for another problem shape) as .corrupt, and hands the
+// checkpoint to Runner.Resume, which settles the open epoch exactly once:
+// the engine's journal-before-transition protocol means no step commits
+// twice and no committed byte is lost or double-counted.
+//
+// A pump goroutine per running migration advances the tenant's simulation
+// in small slices on a real-time tick, so migrations are genuinely in flight
+// from the API's point of view: status polls observe intermediate progress,
+// and killing the daemon mid-flight leaves a journal that ends at an
+// arbitrary record boundary, exactly like a crash.
 
-// migration is one tenant's in-flight (or just-finished) migration.
+// daemonPolicy never retries: an abort is terminal and clients replan.
+var daemonPolicy = control.Policy{MaxAttempts: 1}
+
+// migration is one tenant's latest migration: the runner's running (or last
+// closed) epoch.
 type migration struct {
-	epoch    int
-	steps    []migrate.Step
-	engine   *migrate.Engine
-	sim      *control.SimIO
-	file     *os.File
-	stop     chan struct{} // closed to abandon the pump (crash semantics)
-	res      *migrate.Result
-	finished bool
-	err      string
+	epoch  int
+	engine *migrate.Engine
+	stop   chan struct{} // closed to abandon the pump (crash semantics)
 	// recovered marks a migration resumed from the journal at startup.
 	recovered bool
 }
@@ -85,7 +89,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 
 	var target *layout.Layout
 	if req.Target != nil {
-		l, err := currentFrom(req.Target, len(st.names), len(st.caps))
+		l, err := dblayout.LayoutFromRows(req.Target, len(st.names), len(st.caps))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "target layout: %v", err)
 			return
@@ -129,7 +133,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 
 	t.migMu.Lock()
 	defer t.migMu.Unlock()
-	if t.mig != nil && !t.mig.finished {
+	if t.migrating() {
 		writeError(w, http.StatusConflict, "tenant %q already has a migration in flight", t.id)
 		return
 	}
@@ -152,69 +156,64 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// startMigration opens (or extends) the tenant journal, journals the cplan,
-// builds the engine and launches the pump. Caller holds t.migMu.
+// startMigration opens the next epoch on the tenant's runner, creating the
+// runner and its journal (cbegin pins the current layout as the base) on the
+// first migration, and launches the pump. Caller holds t.migMu.
 func (s *Server) startMigration(t *tenant, st *tenantState, steps []migrate.Step, scratch migrate.ScratchSpec, req migrateRequest) (*migration, error) {
-	path := s.journalPath(t.id)
-	fresh := false
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		fresh = true
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if fresh {
-		// cbegin pins the journal's base layout: the current layout at
-		// journal creation. Every later epoch migrates from base plus the
-		// committed steps of the closed epochs before it.
-		if err := appendControl(f, control.Record{
-			T: "cbegin", N: len(st.names), M: len(st.caps),
-			Rows: layoutRows(st.current), Seed: req.Seed,
-		}); err != nil {
-			f.Close()
+	if t.run == nil {
+		if err := s.openRunner(t, st, os.O_CREATE|os.O_TRUNC, req.Seed); err != nil {
+			return nil, err
+		}
+		if err := t.run.Begin(st.current); err != nil {
+			t.resetJournal()
 			return nil, err
 		}
 	}
-	epoch := t.epoch + 1
-	if err := appendControl(f, control.Record{
-		T: "cplan", Epoch: epoch, Attempt: 1,
-		Steps: steps, Scratch: &scratch, Reason: "api",
-	}); err != nil {
-		f.Close()
+	if err := t.run.Open(control.Plan{Steps: steps, Scratch: scratch, Reason: "api"}, s.migrateOptions(req)); err != nil {
 		return nil, err
 	}
-
-	mig := &migration{
-		epoch: epoch,
-		steps: steps,
-		sim:   control.NewSimIO(s.simDevices(st), 0),
-		file:  f,
-		stop:  make(chan struct{}),
-	}
-	engine, err := migrate.NewEngine(mig.sim, st.current, steps, s.migrateOptions(f, req), func(r *migrate.Result) {
-		mig.res = r
-	})
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	mig.engine = engine
-	t.mig = mig
-	engine.Start()
-	s.wg.Add(1)
-	go s.pump(t, mig)
-	return mig, nil
+	return s.launch(t, false), nil
 }
 
-func (s *Server) migrateOptions(journal io.Writer, req migrateRequest) migrate.Options {
+// launch records the runner's current epoch as the tenant's migration and
+// starts its pump. Caller holds t.migMu.
+func (s *Server) launch(t *tenant, recovered bool) *migration {
+	mig := &migration{epoch: t.run.Epoch(), engine: t.run.Engine(), stop: make(chan struct{}), recovered: recovered}
+	t.mig = mig
+	s.wg.Add(1)
+	go s.pump(t, mig)
+	return mig
+}
+
+// openRunner opens the tenant's journal file for append (flag adds creation
+// flags) and builds the epoch runner over it and a fresh simulation. Caller
+// holds t.migMu.
+func (s *Server) openRunner(t *tenant, st *tenantState, flag int, seed int64) error {
+	f, err := os.OpenFile(s.journalPath(t.id), flag|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	devs := make([]control.SimDevice, len(st.caps))
+	for j := range devs {
+		devs[j] = control.SimDevice{Name: st.problem.Targets[j].Name, Capacity: st.caps[j],
+			BytesPerSec: s.opt.SimBytesPerSec, FailAt: -1}
+	}
+	t.jf = f
+	t.sim = control.NewSimIO(devs, 0)
+	t.run = control.NewRunner(control.RunnerConfig{
+		N: len(st.names), M: len(st.caps), Seed: seed,
+		Journal: f, IO: t.sim, Policy: daemonPolicy,
+	})
+	return nil
+}
+
+func (s *Server) migrateOptions(req migrateRequest) migrate.Options {
 	opt := migrate.Options{
 		BytesPerSec:     req.BytesPerSec,
 		ChunkBytes:      req.ChunkBytes,
 		CheckpointBytes: req.CheckpointBytes,
 		SyncEvery:       req.SyncEvery,
 		MaxQueueShare:   1, // no foreground I/O in the daemon's simulation
-		Journal:         journal,
 	}
 	if opt.SyncEvery == 0 {
 		opt.SyncEvery = 8
@@ -222,48 +221,40 @@ func (s *Server) migrateOptions(journal io.Writer, req migrateRequest) migrate.O
 	return opt
 }
 
-// simDevices builds the simulated device table for a tenant's targets.
-func (s *Server) simDevices(st *tenantState) []control.SimDevice {
-	devs := make([]control.SimDevice, len(st.caps))
-	for j := range devs {
-		devs[j] = control.SimDevice{
-			Name:        st.problem.Targets[j].Name,
-			Capacity:    st.caps[j],
-			BytesPerSec: s.opt.SimBytesPerSec,
-			FailAt:      -1,
-		}
-	}
-	return devs
-}
-
-// pump advances one migration's simulated clock on a real-time tick until
-// the engine finishes or the server shuts down. Abandoning mid-flight is
+// pump advances the tenant's simulated clock on a real-time tick until the
+// migration's epoch closes or the server shuts down. Abandoning mid-flight is
 // deliberate crash semantics: the journal ends at a record boundary and the
 // next daemon start resumes from it.
 func (s *Server) pump(t *tenant, mig *migration) {
 	defer s.wg.Done()
 	for {
 		select {
-		case <-mig.stop:
-			mig.file.Close()
-			return
 		case <-s.ctx.Done():
-			mig.file.Close()
 			return
 		default:
 		}
 		t.migMu.Lock()
-		if mig.res == nil {
-			mig.sim.Advance(s.opt.SimStep)
+		select {
+		case <-mig.stop:
+			t.migMu.Unlock()
+			return
+		default:
 		}
-		done := mig.res != nil
-		if done {
-			s.finalizeMigration(t, mig)
+		if t.run.Migrating() {
+			t.sim.Advance(s.opt.SimStep)
 		}
+		done := !t.run.Migrating()
 		t.migMu.Unlock()
 		if done {
-			if mig.res.Layout != nil {
-				s.installLayout(t, mig.res.Layout)
+			// The runner has journaled the epoch's outcome; the engine's
+			// result is final.
+			res := mig.engine.Result()
+			if s.log != nil {
+				s.log.Info("migration finished", "tenant", t.id, "epoch", mig.epoch,
+					"done", res.Done, "aborted", res.Aborted, "committed_bytes", res.CommittedBytes)
+			}
+			if res.Layout != nil {
+				s.installLayout(t, res.Layout)
 			}
 			return
 		}
@@ -271,52 +262,13 @@ func (s *Server) pump(t *tenant, mig *migration) {
 	}
 }
 
-// finalizeMigration closes the epoch in the journal and the file. Caller
-// holds t.migMu.
-func (s *Server) finalizeMigration(t *tenant, mig *migration) {
-	res := mig.res
-	switch {
-	case res.Done:
-		if err := appendControl(mig.file, control.Record{
-			T: "coutcome", Epoch: mig.epoch, Outcome: "done",
-		}); err != nil {
-			mig.err = fmt.Sprintf("closing epoch: %v", err)
-		}
-	case res.Aborted:
-		// The daemon does not auto-retry: the abort is recorded terminal
-		// (coutcome aborted + cfail) and clients replan via /repair.
-		if err := appendControl(mig.file, control.Record{
-			T: "coutcome", Epoch: mig.epoch, Outcome: "aborted", Failed: res.FailedTargets,
-		}); err != nil {
-			mig.err = fmt.Sprintf("closing epoch: %v", err)
-		} else if err := appendControl(mig.file, control.Record{
-			T: "cfail", Cause: "api migration aborted; replan via /repair",
-		}); err != nil {
-			mig.err = fmt.Sprintf("closing epoch: %v", err)
-		}
-	case res.Crashed:
-		mig.err = fmt.Sprintf("journal write failed: %v", res.Err)
-	}
-	if res.Err != nil && mig.err == "" {
-		mig.err = res.Err.Error()
-	}
-	mig.file.Close()
-	mig.finished = true
-	t.epoch = mig.epoch
-	if s.log != nil {
-		s.log.Info("migration finished", "tenant", t.id, "epoch", mig.epoch,
-			"done", res.Done, "aborted", res.Aborted, "committed_bytes", res.CommittedBytes)
-	}
-}
-
-// installLayout swaps the tenant's state to one whose current layout is the
-// migration result. Takes t.mu (never while holding t.migMu).
+// installLayout swaps the tenant's state to one whose current layout is l
+// (a migration result, or the layout a recovered journal implies); an
+// unchanged layout keeps the state and its version.
 func (s *Server) installLayout(t *tenant, l *layout.Layout) {
-	st := t.snapshot()
-	if st == nil {
-		return
+	if st := t.snapshot(); st != nil && !st.current.Equal(l) {
+		t.install(st.withLayout(l))
 	}
-	t.install(st.withLayout(l))
 }
 
 func (s *Server) handleMigration(w http.ResponseWriter, r *http.Request) {
@@ -328,43 +280,32 @@ func (s *Server) handleMigration(w http.ResponseWriter, r *http.Request) {
 	defer t.migMu.Unlock()
 	if t.mig == nil {
 		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"tenant": t.id, "version": st.version, "active": false, "epochs": t.epoch,
+			"tenant": t.id, "version": st.version, "active": false, "epochs": t.epochs(),
 		})
 		return
 	}
 	mig := t.mig
 	res := mig.engine.Result()
-	total := migrate.ScriptBytes(mig.steps)
+	total := migrate.ScriptBytes(res.Steps)
 	resp := map[string]interface{}{
 		"tenant": t.id, "version": st.version,
-		"active":          !mig.finished,
+		"active":          t.run.Migrating(),
 		"epoch":           mig.epoch,
-		"epochs":          t.epoch,
+		"epochs":          t.epochs(),
 		"recovered":       mig.recovered,
-		"steps":           len(mig.steps),
+		"steps":           len(res.Steps),
 		"committed_steps": res.Committed,
 		"committed_bytes": res.CommittedBytes,
 		"total_bytes":     total,
 		"done":            res.Done,
 		"aborted":         res.Aborted,
 	}
-	if mig.err != "" {
-		resp["error"] = mig.err
+	if err := t.run.Err(); err != nil {
+		resp["error"] = err.Error()
+	} else if res.Err != nil {
+		resp["error"] = res.Err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// appendControl journals one controller record, CRC-framed and fsynced —
-// every controller record is a commit point.
-func appendControl(w io.Writer, rec control.Record) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := wal.Append(w, body); err != nil {
-		return err
-	}
-	return wal.Sync(w)
 }
 
 // restore rebuilds every persisted tenant and resumes in-flight migrations
@@ -405,9 +346,9 @@ func (s *Server) restore() error {
 	return nil
 }
 
-// recoverJournal replays a tenant's migration journal: closed epochs roll
-// the current layout forward; an open epoch resumes its engine from the
-// recovered checkpoint, exactly once.
+// recoverJournal resumes a tenant's migration journal: the runner rolls the
+// closed epochs forward and settles the open one exactly once, resuming its
+// engine (and pump) when it was in flight.
 func (s *Server) recoverJournal(t *tenant, st *tenantState) error {
 	path := s.journalPath(t.id)
 	data, err := os.ReadFile(path)
@@ -422,136 +363,43 @@ func (s *Server) recoverJournal(t *tenant, st *tenantState) error {
 		return os.Remove(path)
 	}
 	ck, err := control.Recover(durable)
-	if err != nil {
-		// A journal the daemon cannot trust is quarantined, not appended
-		// to: the tenant restarts from its problem document's layout.
-		if s.log != nil {
-			s.log.Warn("quarantining corrupt journal", "tenant", t.id, "err", err)
-		}
-		return os.Rename(path, path+".corrupt")
-	}
-	// Drop the torn tail from the file itself so appended records follow
-	// the last durable one.
-	if len(durable) != len(data) {
+	if err == nil && len(durable) != len(data) {
+		// Drop the torn tail from the file itself so appended records
+		// follow the last durable one.
 		if err := os.Truncate(path, int64(len(durable))); err != nil {
 			return err
 		}
 	}
 	t.migMu.Lock()
 	defer t.migMu.Unlock()
-	t.epoch = ck.Epoch
-	current := ck.Current.Clone()
-
-	if ck.Open == nil {
-		if ck.NeedRetryDecision {
-			// The crash landed between the aborted outcome and its retry
-			// decision; record the terminal decision now (the daemon never
-			// auto-retries), keeping the journal grammar appendable.
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			err = appendControl(f, control.Record{T: "cfail", Cause: "abort recovered at restart; replan via /repair"})
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		s.installRecovered(t, st, current)
-		return nil
-	}
-
-	open := ck.Open
-	mck := open.Checkpoint
-	if mck != nil && (mck.Done || mck.Aborted) {
-		// The engine finished but the crash swallowed the coutcome: close
-		// the epoch without re-running anything.
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+	if err == nil {
+		if err := s.openRunner(t, st, 0, ck.Seed); err != nil {
 			return err
 		}
-		outcome := "done"
-		if mck.Aborted {
-			outcome = "aborted"
-		}
-		err = appendControl(f, control.Record{
-			T: "coutcome", Epoch: open.Plan.Epoch, Outcome: outcome, Failed: mck.Failed,
-		})
-		if err == nil && mck.Aborted {
-			err = appendControl(f, control.Record{T: "cfail", Cause: "abort recovered at restart; replan via /repair"})
-		}
-		f.Close()
-		if err != nil {
+		err = t.run.Resume(ck, s.migrateOptions(migrateRequest{}))
+	}
+	if err != nil {
+		t.resetJournal()
+		if !errors.Is(err, control.ErrControllerCorrupt) {
 			return err
 		}
-		mck.ApplyCommitted(current)
-		t.epoch = open.Plan.Epoch
-		s.installRecovered(t, st, current)
+		// A journal the daemon cannot trust — corrupt, or written for
+		// another problem shape — is quarantined, not appended to: the
+		// tenant restarts from its problem document's layout.
+		if s.log != nil {
+			s.log.Warn("quarantining corrupt journal", "tenant", t.id, "err", err)
+		}
+		return os.Rename(path, path+".corrupt")
+	}
+	s.installLayout(t, t.run.Current())
+	if !t.run.Migrating() {
 		return nil
 	}
-
-	// A genuinely in-flight epoch: resume its engine from the checkpoint
-	// and pump it to completion. NewEngine re-applies committed steps from
-	// the checkpoint itself, so `current` (base of the open epoch) is the
-	// right base layout.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	mig := &migration{
-		epoch:     open.Plan.Epoch,
-		steps:     open.Plan.Steps,
-		sim:       control.NewSimIO(s.simDevices(st), 0),
-		file:      f,
-		stop:      make(chan struct{}),
-		recovered: true,
-	}
-	opt := s.migrateOptions(f, migrateRequest{})
-	opt.Checkpoint = mck
-	if open.Plan.Scratch != nil {
-		opt.Scratch = *open.Plan.Scratch
-	}
-	engine, err := migrate.NewEngine(mig.sim, current, open.Plan.Steps, opt, func(r *migrate.Result) {
-		mig.res = r
-	})
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("resuming epoch %d: %w", open.Plan.Epoch, err)
-	}
-	mig.engine = engine
-	t.mig = mig
-	t.epoch = open.Plan.Epoch - 1 // finalize sets it to the epoch on close
-	s.installRecovered(t, st, current)
 	s.mRecovered.Inc()
 	if s.log != nil {
-		s.log.Info("resuming migration", "tenant", t.id, "epoch", open.Plan.Epoch,
-			"committed_steps", engine.Result().Committed)
+		s.log.Info("resuming migration", "tenant", t.id, "epoch", t.run.Epoch(),
+			"committed_steps", t.run.Engine().Result().Committed)
 	}
-	engine.Start()
-	s.wg.Add(1)
-	go s.pump(t, mig)
+	s.launch(t, true)
 	return nil
-}
-
-// installRecovered swaps in the journal-recovered current layout when it
-// differs from the document's.
-func (s *Server) installRecovered(t *tenant, st *tenantState, current *layout.Layout) {
-	if layoutsEqual(st.current, current) {
-		return
-	}
-	t.install(st.withLayout(current))
-}
-
-func layoutsEqual(a, b *layout.Layout) bool {
-	if a.N != b.N || a.M != b.M {
-		return false
-	}
-	for i := 0; i < a.N; i++ {
-		for j := 0; j < a.M; j++ {
-			if a.At(i, j) != b.At(i, j) {
-				return false
-			}
-		}
-	}
-	return true
 }

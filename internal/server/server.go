@@ -16,9 +16,9 @@
 //     with a bounded wait queue; bursts beyond both degrade to 503, not
 //     OOM. Each solve runs under the configured SolveBudget.
 //   - Durability. Migrations execute against a deterministic simulated I/O
-//     substrate and journal to a per-tenant write-ahead file using the
-//     controller journal format; a daemon restart recovers every in-flight
-//     migration exactly once through control.Recover.
+//     substrate and journal to a per-tenant write-ahead file through the
+//     autonomic controller's epoch runner (control.Runner); a daemon restart
+//     recovers every in-flight migration exactly once through it.
 package server
 
 import (
@@ -199,8 +199,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close stops the server: new migration starts are refused, running pump
 // goroutines abandon their migrations at a journal record boundary (crash
-// semantics — the journal resumes them exactly once on the next start), and
-// shared solves are cancelled.
+// semantics — the journal resumes them exactly once on the next start),
+// shared solves are cancelled, and the journal files are closed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -211,6 +211,17 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
+	s.mu.Lock()
+	tenants := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		tenants = append(tenants, t)
+	}
+	s.mu.Unlock()
+	for _, t := range tenants {
+		t.migMu.Lock()
+		t.resetJournal()
+		t.migMu.Unlock()
+	}
 }
 
 // statusWriter captures the response code for metrics.
@@ -322,32 +333,17 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	t.migMu.Lock()
-	migrating := t.mig != nil && !t.mig.finished
-	t.migMu.Unlock()
-	if migrating {
-		writeError(w, http.StatusConflict, "tenant %q has a migration in flight", t.id)
-		return
-	}
 	st, err := t.buildState(s, raw)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	// A new problem document resets the tenant's world: the fitted-
-	// workload cache and the migration journal describe the old one.
-	t.fitMu.Lock()
-	t.fit = nil
-	t.fitMu.Unlock()
-	t.migMu.Lock()
-	t.mig = nil
-	t.epoch = 0
-	if s.opt.DataDir != "" {
-		_ = os.Remove(s.journalPath(t.id))
+	st, err = s.replaceProblem(t, st)
+	if errors.Is(err, errMigrating) {
+		writeError(w, http.StatusConflict, "tenant %q has a migration in flight", t.id)
+		return
 	}
-	t.migMu.Unlock()
-	st = t.install(st)
-	if err := s.persistDoc(t.id, raw); err != nil {
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "persisting problem: %v", err)
 		return
 	}
@@ -357,19 +353,49 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// errMigrating refuses a problem upload while a migration is in flight.
+var errMigrating = errors.New("migration in flight")
+
+// replaceProblem installs st as the tenant's problem. A new problem document
+// resets the tenant's world: the fitted-workload cache and the migration
+// journal describe the old one. The in-flight check and the reset share one
+// migMu hold, so a migration that started while st was being built is
+// refused (errMigrating) rather than left pumping into a deleted journal and
+// then installing the old problem's layout. The document is persisted before
+// the journal is removed, so a failed write keeps the old document and its
+// journal together.
+func (s *Server) replaceProblem(t *tenant, st *tenantState) (*tenantState, error) {
+	t.migMu.Lock()
+	defer t.migMu.Unlock()
+	if t.migrating() {
+		return nil, errMigrating
+	}
+	if err := s.persistDoc(t.id, st.raw); err != nil {
+		return nil, err
+	}
+	t.resetJournal()
+	if s.opt.DataDir != "" {
+		_ = os.Remove(s.journalPath(t.id))
+	}
+	t.fitMu.Lock()
+	t.fit = nil
+	t.fitMu.Unlock()
+	return t.install(st), nil
+}
+
 func (s *Server) handleTenantGet(w http.ResponseWriter, r *http.Request) {
 	t, st := s.snapshotFor(w, r)
 	if t == nil {
 		return
 	}
 	t.migMu.Lock()
-	epoch := t.epoch
-	migrating := t.mig != nil && !t.mig.finished
+	epoch := t.epochs()
+	migrating := t.migrating()
 	t.migMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"tenant": t.id, "version": st.version,
 		"objects": st.names, "targets": len(st.caps),
-		"current": layoutRows(st.current),
+		"current": st.current.Rows(),
 		"epochs":  epoch, "migrating": migrating,
 	})
 }
@@ -388,9 +414,10 @@ func (s *Server) handleTenantDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.migMu.Lock()
-	if t.mig != nil && !t.mig.finished {
+	if t.migrating() {
 		close(t.mig.stop)
 	}
+	t.resetJournal()
 	t.migMu.Unlock()
 	if s.opt.DataDir != "" {
 		_ = os.Remove(s.docPath(id))
@@ -510,7 +537,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		"objective":        rec.FinalObjective,
 		"solver_objective": rec.SolverObjective,
 		"degraded":         rec.Degraded,
-		"rows":             layoutRows(rec.Final),
+		"rows":             rec.Final.Rows(),
 		"elapsed_ms":       float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if rec.Degradation != nil {
@@ -660,7 +687,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"tenant": t.id, "version": st.version,
-		"rows":       layoutRows(rep.Layout),
+		"rows":       rep.Layout.Rows(),
 		"objective":  rep.Objective,
 		"failed":     rep.Failed,
 		"affected":   rep.Affected,

@@ -5,14 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"time"
 
 	"dblayout"
+	"dblayout/internal/control"
 	"dblayout/internal/costmodel"
 	"dblayout/internal/layout"
-	"dblayout/internal/storage"
 )
 
 // docFile is a tenant's problem document, the JSON body of
@@ -104,8 +105,10 @@ type tenant struct {
 	advise   map[adviseKey]*adviseEntry
 
 	migMu sync.Mutex
-	mig   *migration
-	epoch int // migration epochs recorded in this tenant's journal
+	run   *control.Runner // the journal's epoch runner; nil until a journal exists
+	sim   *control.SimIO  // the simulation run's engines execute against
+	jf    *os.File        // the journal file run appends to
+	mig   *migration      // the latest migration, for status
 }
 
 func newTenant(id string) *tenant {
@@ -140,6 +143,33 @@ func (t *tenant) install(st *tenantState) *tenantState {
 	return st
 }
 
+// resetJournal drops the tenant's epoch runner and latest migration and
+// closes the journal file. Caller holds t.migMu.
+func (t *tenant) resetJournal() {
+	if t.jf != nil {
+		// Every commit record is already fsynced; a failed close can only
+		// lose unsynced progress marks, which cost a recopy on resume.
+		_ = t.jf.Close()
+	}
+	t.run, t.sim, t.jf, t.mig = nil, nil, nil, nil
+}
+
+// migrating reports whether a migration epoch is running. Caller holds
+// t.migMu.
+func (t *tenant) migrating() bool { return t.run != nil && t.run.Migrating() }
+
+// epochs counts the migration epochs the tenant's journal has closed.
+// Caller holds t.migMu.
+func (t *tenant) epochs() int {
+	switch {
+	case t.run == nil:
+		return 0
+	case t.run.Migrating():
+		return t.run.Epoch() - 1
+	}
+	return t.run.Epoch()
+}
+
 // withLayout clones st with a new current layout — the post-migration state.
 func (st *tenantState) withLayout(l *layout.Layout) *tenantState {
 	ns := *st
@@ -163,20 +193,6 @@ func instanceFor(st *tenantState) *layout.Instance {
 		Targets:   st.problem.Targets,
 		Workloads: st.problem.Workloads,
 	}
-}
-
-func kindOf(s string) (dblayout.ObjectKind, error) {
-	switch strings.ToLower(s) {
-	case "table", "":
-		return dblayout.KindTable, nil
-	case "index":
-		return dblayout.KindIndex, nil
-	case "log":
-		return dblayout.KindLog, nil
-	case "temp":
-		return dblayout.KindTemp, nil
-	}
-	return 0, fmt.Errorf("unknown object kind %q", s)
 }
 
 // model resolves a target's cost model. Inline models are decoded from the
@@ -204,9 +220,9 @@ func (t *tenant) model(s *Server, ref string, inline json.RawMessage) (*costmode
 		s.mCalHits.Inc()
 		return m, nil
 	}
-	factory, err := calibrationFactory(name)
+	factory, err := dblayout.DeviceFactory(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("unknown model %q (want disk15k, disk7200, ssd, or model_json)", name)
 	}
 	grid := costmodel.DefaultGrid()
 	if s.opt.FastCalibration {
@@ -216,24 +232,6 @@ func (t *tenant) model(s *Server, ref string, inline json.RawMessage) (*costmode
 	m := costmodel.Calibrate(name, factory, grid)
 	t.models[name] = m
 	return m, nil
-}
-
-func calibrationFactory(name string) (costmodel.TargetFactory, error) {
-	switch name {
-	case "disk15k":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk15KConfig())
-		}, nil
-	case "disk7200":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk7200Config())
-		}, nil
-	case "ssd":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewSSD(e, "ssd", storage.SSD32Config())
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown model %q (want disk15k, disk7200, ssd, or model_json)", name)
 }
 
 // buildState parses and validates a problem document into a fresh state
@@ -249,7 +247,7 @@ func (t *tenant) buildState(s *Server, raw []byte) (*tenantState, error) {
 	}
 	st := &tenantState{raw: raw}
 	for _, o := range doc.Objects {
-		kind, err := kindOf(o.Kind)
+		kind, err := dblayout.ParseObjectKind(o.Kind)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +274,7 @@ func (t *tenant) buildState(s *Server, raw []byte) (*tenantState, error) {
 	if err := instanceFor(st).Validate(); err != nil {
 		return nil, err
 	}
-	cur, err := currentFrom(doc.Current, len(st.names), len(st.caps))
+	cur, err := dblayout.LayoutFromRows(doc.Current, len(st.names), len(st.caps))
 	if err != nil {
 		return nil, err
 	}
@@ -287,38 +285,5 @@ func (t *tenant) buildState(s *Server, raw []byte) (*tenantState, error) {
 	return st, nil
 }
 
-func currentFrom(rows [][]float64, n, m int) (*layout.Layout, error) {
-	if rows == nil {
-		return layout.SEE(n, m), nil
-	}
-	if len(rows) != n {
-		return nil, fmt.Errorf("\"current\" has %d rows for %d objects", len(rows), n)
-	}
-	l := layout.New(n, m)
-	for i, row := range rows {
-		if len(row) != m {
-			return nil, fmt.Errorf("\"current\" row %d has %d fractions for %d targets", i, len(row), m)
-		}
-		l.SetRow(i, row)
-	}
-	if err := l.CheckIntegrity(); err != nil {
-		return nil, fmt.Errorf("\"current\" layout: %w", err)
-	}
-	return l, nil
-}
-
 // traceDigest identifies uploaded trace content for the fit cache.
 func traceDigest(b []byte) [sha256.Size]byte { return sha256.Sum256(b) }
-
-// layoutRows renders a layout as a JSON-friendly fraction matrix.
-func layoutRows(l *layout.Layout) [][]float64 {
-	rows := make([][]float64, l.N)
-	for i := 0; i < l.N; i++ {
-		row := make([]float64, l.M)
-		for j := 0; j < l.M; j++ {
-			row[j] = l.At(i, j)
-		}
-		rows[i] = row
-	}
-	return rows
-}

@@ -1,19 +1,20 @@
 // Package wal implements the CRC-framed line protocol shared by every
 // write-ahead journal in the repository (the migration engine's step journal
-// and the autonomic controller's decision journal). A journal is a sequence
+// and the controller journal the epoch runner writes). A journal is a sequence
 // of lines, each "%08x %s\n": the IEEE CRC32 of the record body followed by
 // the body itself. A record is durable only once its newline is written, so
 // a torn final line — the signature of a crash mid-write — is recoverable by
 // truncation, while corruption anywhere else is detected by the checksum and
 // surfaced as an error.
 //
-// The package deliberately knows nothing about record contents: bodies are
-// opaque byte slices (in practice single-line JSON). Each journal layers its
-// own record schema and state-machine validation on top.
+// Frames and Append treat bodies as opaque byte slices; Writer, the one
+// journal writer every owner uses, encodes records as single-line JSON. Each
+// journal layers its own record schema and state-machine validation on top.
 package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -44,21 +45,60 @@ func Append(w io.Writer, body []byte) error {
 	return err
 }
 
-// Syncer is the optional durability surface of a journal sink. *os.File
-// implements it; in-memory buffers and test fakes may or may not.
-type Syncer interface {
-	Sync() error
+// Writer appends JSON records to a journal sink under one sync policy. A
+// commit record — one whose durability the protocol depends on ("journal
+// before transition") — is fsynced before Commit returns: without the fsync
+// a power loss can lose a record the OS had only buffered, even though the
+// append succeeded. A progress record only saves redoing work, so Progress
+// forces a sync every syncEvery-th record and otherwise leaves it buffered.
+// Syncing needs a sink with a Sync() error method (*os.File); other sinks
+// are written without it. A nil Writer, or one over a nil sink, accepts
+// everything silently.
+//
+// Any write or sync error — including a short write, which leaves a torn
+// line — is a crash from the journal owner's point of view.
+type Writer struct {
+	w         io.Writer
+	syncEvery int // progress records per forced sync; <= 1 syncs every record
+	unsynced  int // progress records appended since the last sync
 }
 
-// Sync flushes w to stable storage if it is sync-capable, and is a no-op
-// otherwise. Journal owners call it after appending a record whose
-// durability the protocol depends on ("journal before transition"): without
-// the fsync, a power loss can lose a record the OS had only buffered, even
-// though the append call succeeded.
-func Sync(w io.Writer) error {
-	if s, ok := w.(Syncer); ok {
-		return s.Sync()
+// NewWriter returns a Writer over sink w that syncs progress records every
+// syncEvery appends (0 or 1: every one).
+func NewWriter(w io.Writer, syncEvery int) *Writer {
+	return &Writer{w: w, syncEvery: syncEvery}
+}
+
+// Commit appends a commit record and syncs the sink.
+func (j *Writer) Commit(rec interface{}) error { return j.append(rec, false) }
+
+// Progress appends a progress record, syncing once syncEvery of them are
+// unsynced.
+func (j *Writer) Progress(rec interface{}) error { return j.append(rec, true) }
+
+func (j *Writer) append(rec interface{}, progress bool) error {
+	if j == nil || j.w == nil {
+		return nil
 	}
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	if err := Append(j.w, body); err != nil {
+		return err
+	}
+	if progress {
+		j.unsynced++
+		if j.syncEvery > 1 && j.unsynced < j.syncEvery {
+			return nil
+		}
+	}
+	if s, ok := j.w.(interface{ Sync() error }); ok {
+		if err := s.Sync(); err != nil {
+			return err
+		}
+	}
+	j.unsynced = 0
 	return nil
 }
 
