@@ -117,6 +117,40 @@ type problemFile struct {
 	Current [][]float64 `json:"current"`
 }
 
+// decodeProblem parses a problem file and builds the problem it describes,
+// resolving each target's model reference.
+func decodeProblem(data []byte) (*problemFile, dblayout.Problem, error) {
+	var pf problemFile
+	if err := json.Unmarshal(data, &pf); err != nil {
+		return nil, dblayout.Problem{}, fmt.Errorf("parsing: %w", err)
+	}
+	p := dblayout.Problem{Workloads: pf.Workloads}
+	for _, o := range pf.Objects {
+		kind, err := dblayout.ParseObjectKind(o.Kind)
+		if err != nil {
+			return nil, p, err
+		}
+		size, err := dblayout.BytesFromMB(o.SizeMB)
+		if err != nil {
+			return nil, p, fmt.Errorf("object %q: size_mb: %w", o.Name, err)
+		}
+		p.Objects = append(p.Objects, dblayout.Object{Name: o.Name, Size: size, Kind: kind})
+	}
+	cache := map[string]*costmodel.Model{}
+	for _, t := range pf.Targets {
+		capacity, err := dblayout.BytesFromMB(t.CapacityMB)
+		if err != nil {
+			return nil, p, fmt.Errorf("target %q: capacity_mb: %w", t.Name, err)
+		}
+		m, err := modelFor(t.Model, cache)
+		if err != nil {
+			return nil, p, err
+		}
+		p.Targets = append(p.Targets, &layout.Target{Name: t.Name, Capacity: capacity, Model: m})
+	}
+	return &pf, p, nil
+}
+
 // modelFor resolves a target's model reference.
 func modelFor(ref string, cache map[string]*costmodel.Model) (*costmodel.Model, error) {
 	if m, ok := cache[ref]; ok {
@@ -194,26 +228,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var pf problemFile
-	if err := json.Unmarshal(data, &pf); err != nil {
-		return fmt.Errorf("parsing %s: %w", *problemPath, err)
-	}
-
-	p := dblayout.Problem{Workloads: pf.Workloads}
-	for _, o := range pf.Objects {
-		kind, err := dblayout.ParseObjectKind(o.Kind)
-		if err != nil {
-			return err
-		}
-		p.Objects = append(p.Objects, dblayout.Object{Name: o.Name, Size: o.SizeMB << 20, Kind: kind})
-	}
-	cache := map[string]*costmodel.Model{}
-	for _, t := range pf.Targets {
-		m, err := modelFor(t.Model, cache)
-		if err != nil {
-			return err
-		}
-		p.Targets = append(p.Targets, &layout.Target{Name: t.Name, Capacity: t.CapacityMB << 20, Model: m})
+	pf, p, err := decodeProblem(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", *problemPath, err)
 	}
 
 	opt := dblayout.Options{
@@ -272,7 +289,7 @@ func run() error {
 			rec.SolverIters, rec.SolverEvals, elapsed.Round(time.Millisecond))
 	}
 	if *execute {
-		return executeMigration(&pf, p, rec.Final, executeOptions{
+		return executeMigration(pf, p, rec.Final, executeOptions{
 			journalPath: *journalPath,
 			copyRate:    *copyRate,
 			queueShare:  *queueShare,
@@ -327,12 +344,12 @@ func executeMigration(pf *problemFile, p dblayout.Problem, target *dblayout.Layo
 	}
 	caps := make([]int64, len(pf.Targets))
 	for j, t := range pf.Targets {
-		spec, err := deviceFor(t.Name, t.Model, t.CapacityMB<<20)
+		caps[j] = p.Targets[j].Capacity
+		spec, err := deviceFor(t.Name, t.Model, caps[j])
 		if err != nil {
 			return err
 		}
 		sys.Devices = append(sys.Devices, spec)
-		caps[j] = t.CapacityMB << 20
 	}
 	current, err := dblayout.LayoutFromRows(pf.Current, len(p.Objects), len(pf.Targets))
 	if err != nil {

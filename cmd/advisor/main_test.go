@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dblayout"
@@ -56,6 +57,32 @@ func TestMergeFailed(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("mergeFailed = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestDecodeProblemRejectsOutOfRangeMB checks that the problem decoder
+// refuses a size_mb or capacity_mb whose byte count would overflow an int64
+// (it used to wrap around to a 1 MiB size that validation accepts), and one
+// that is not positive, naming the field.
+func TestDecodeProblemRejectsOutOfRangeMB(t *testing.T) {
+	const huge = "17592186044417" // 2^44 + 1
+	doc := func(size, capacity string) []byte {
+		return []byte(`{"objects": [{"name": "T", "size_mb": ` + size + `}],
+			"targets": [{"name": "d0", "capacity_mb": ` + capacity + `, "model": "@no-such-model.json"}]}`)
+	}
+	for _, tc := range []struct {
+		data  []byte
+		field string
+	}{
+		{doc(huge, "64"), "size_mb"},
+		{doc("0", "64"), "size_mb"},
+		{doc("8", huge), "capacity_mb"},
+		{doc("8", "-1"), "capacity_mb"},
+	} {
+		_, _, err := decodeProblem(tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("decodeProblem(%s) = %v, want an error naming %s", tc.data, err, tc.field)
 		}
 	}
 }

@@ -219,7 +219,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Fleet-scale study — sparse pruned transfer vs. hierarchical decomposition:")
+		fmt.Println("Fleet-scale study — sparse pruned transfer search:")
 		fmt.Print(experiments.FleetTable(rows))
 		return nil
 	})

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"strings"
 	"time"
 
@@ -352,6 +353,18 @@ func ParseObjectKind(s string) (ObjectKind, error) {
 		return KindTemp, nil
 	}
 	return 0, fmt.Errorf("unknown object kind %q", s)
+}
+
+// BytesFromMB converts a problem document's megabyte count ("size_mb",
+// "capacity_mb") to bytes. It rejects counts that are not positive or whose
+// byte count would overflow an int64, so a huge count cannot wrap around to
+// a small, valid-looking size.
+func BytesFromMB(mb int64) (int64, error) {
+	const maxMB = math.MaxInt64 >> 20
+	if mb <= 0 || mb > maxMB {
+		return 0, fmt.Errorf("%d MB out of range [1, %d]", mb, int64(maxMB))
+	}
+	return mb << 20, nil
 }
 
 // DeviceFactory returns the calibration factory of a built-in simulated

@@ -2,6 +2,7 @@ package dblayout_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -187,6 +188,23 @@ func TestParseObjectKindAndDeviceFactory(t *testing.T) {
 	for _, name := range []string{"", "@model.json", "raid0x4"} {
 		if _, err := dblayout.DeviceFactory(name); err == nil {
 			t.Errorf("DeviceFactory(%q) accepted", name)
+		}
+	}
+}
+
+// TestBytesFromMB pins the megabyte range a problem document may use: the
+// largest count whose byte count fits an int64 converts exactly, and the
+// next one, zero and negatives are rejected.
+func TestBytesFromMB(t *testing.T) {
+	const maxMB = math.MaxInt64 >> 20
+	for mb, want := range map[int64]int64{1: 1 << 20, 64: 64 << 20, maxMB: maxMB << 20} {
+		if got, err := dblayout.BytesFromMB(mb); err != nil || got != want {
+			t.Errorf("BytesFromMB(%d) = %d, %v; want %d", mb, got, err, want)
+		}
+	}
+	for _, mb := range []int64{maxMB + 1, 1<<44 + 1, math.MaxInt64, 0, -1, math.MinInt64} {
+		if got, err := dblayout.BytesFromMB(mb); err == nil {
+			t.Errorf("BytesFromMB(%d) = %d, want an error", mb, got)
 		}
 	}
 }

@@ -71,16 +71,24 @@ func TestAdvisorTraceHook(t *testing.T) {
 	}
 }
 
-// TestAnnealOptionErrorsSurface checks invalid anneal schedules surface as
-// errors from the advisor rather than being silently clamped.
-func TestAnnealOptionErrorsSurface(t *testing.T) {
+// TestUnknownSolverIsHardError checks that a Solver value with no solver
+// behind it — the removed hierarchical value 4, or any other — fails the
+// call outright instead of silently running some other solver.
+func TestUnknownSolverIsHardError(t *testing.T) {
 	inst := layouttest.Instance(3)
-	adv, err := New(inst, Options{Solver: SolverAnneal,
-		Anneal: nlp.AnnealOptions{Options: nlp.Options{MaxIters: 10}, Cooling: 1.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adv.Recommend(); err == nil {
-		t.Fatal("invalid anneal cooling accepted")
+	for _, s := range []Solver{Solver(4), Solver(99)} {
+		traced := 0
+		adv, err := New(inst, Options{Solver: s, NLP: nlp.Options{MaxIters: 10,
+			Trace: func(nlp.TraceEvent) { traced++ }}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := adv.Recommend()
+		if err == nil || rec != nil {
+			t.Fatalf("%v: got (%v, %v), want (nil, error)", s, rec, err)
+		}
+		if traced != 0 {
+			t.Fatalf("%v: a solver ran (%d trace events)", s, traced)
+		}
 	}
 }

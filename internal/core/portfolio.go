@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"dblayout/internal/layout"
@@ -24,7 +23,6 @@ func (a *Advisor) portfolioRacers() []Solver {
 // user hook directly — it is not safe for concurrent use).
 type racerOutcome struct {
 	res    nlp.Result
-	err    error
 	events []nlp.TraceEvent
 }
 
@@ -47,7 +45,7 @@ type racerOutcome struct {
 // reproducible from the seed alone. Cost-model panics on racer goroutines
 // are captured and re-raised here so safeSolve's recover classifies them as
 // ErrModelFailure exactly as in a serial solve.
-func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) (nlp.Result, error) {
+func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) nlp.Result {
 	racers := a.portfolioRacers()
 	userTrace := nopt.Trace
 	outs := make([]racerOutcome, len(racers))
@@ -81,7 +79,7 @@ func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) 
 			case SolverProjectedGradient:
 				outs[i].res = nlp.ProjectedGradient(r.ctx, a.ev, a.inst, init, opt)
 			case SolverAnneal:
-				outs[i].res, outs[i].err = nlp.Anneal(r.ctx, a.ev, a.inst, init, a.annealOptions(opt))
+				outs[i].res = nlp.Anneal(r.ctx, a.ev, a.inst, init, opt)
 			}
 		}(i, s)
 	}
@@ -89,18 +87,13 @@ func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) 
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	for i, o := range outs {
-		if o.err != nil {
-			return nlp.Result{}, fmt.Errorf("core: portfolio %v: %w", racers[i], o.err)
-		}
-	}
-	return mergeRace(racers, outs, userTrace), nil
+	return mergeRace(outs, userTrace)
 }
 
 // mergeRace folds the racers' outcomes into one Result and replays buffered
 // trace events as a single well-formed stream. Racer order is fixed, so the
 // merge is deterministic.
-func mergeRace(racers []Solver, outs []racerOutcome, userTrace func(nlp.TraceEvent)) nlp.Result {
+func mergeRace(outs []racerOutcome, userTrace func(nlp.TraceEvent)) nlp.Result {
 	win := 0
 	for i := 1; i < len(outs); i++ {
 		if outs[i].res.Objective < outs[win].res.Objective {

@@ -58,9 +58,6 @@ const NoRestarts = -1
 type Options struct {
 	// MaxIters bounds improvement iterations (default 2000).
 	MaxIters int
-	// Tolerance is the minimum relative objective improvement that keeps
-	// the search going (default 1e-4).
-	Tolerance float64
 	// Restarts is the number of random multi-start rounds after the first
 	// search converges; the best layout found is kept. Zero selects the
 	// default (3); NoRestarts — or any negative value — requests a
@@ -100,9 +97,6 @@ type Options struct {
 	// delivered stream is identical at every worker count, Iter is
 	// consecutive from 1, and the Best field is non-increasing.
 	Trace func(TraceEvent)
-	// StepFractions are the fractions of an object's current assignment
-	// that a single transfer move may shift (default 1, 1/2, 1/4, 1/8).
-	StepFractions []float64
 	// MovableObjects, when non-nil, restricts the search to moving only
 	// the listed objects; all other rows are frozen. Used for
 	// incremental placement (e.g. FlexVol-style growth), where existing
@@ -132,6 +126,14 @@ type Options struct {
 	PruneObjects int
 	PruneTargets int
 }
+
+// tolerance is the minimum relative objective improvement that keeps a
+// descent going.
+const tolerance = 1e-4
+
+// stepFractions are the fractions of an object's current assignment that a
+// single transfer move may shift.
+var stepFractions = [...]float64{1, 0.5, 0.25, 0.125}
 
 // Automatic pruning engages at this many object-target pairs (the paper's
 // largest study, N=160 x M=40 = 6400 pairs, stays three orders of magnitude
@@ -178,16 +180,10 @@ func (o Options) withDefaults() Options {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 2000
 	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-4
-	}
 	if o.Restarts < 0 {
 		o.Restarts = 0
 	} else if o.Restarts == 0 {
 		o.Restarts = 3
-	}
-	if len(o.StepFractions) == 0 {
-		o.StepFractions = []float64{1, 0.5, 0.25, 0.125}
 	}
 	return o
 }

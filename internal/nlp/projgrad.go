@@ -165,7 +165,7 @@ func gradientDescend(ev Evaluator, inst *layout.Instance, l *layout.Layout, util
 					inc = src.NewIncremental(l)
 					utils = inc.Utilizations(utils[:0])
 				}
-				if cur-cv < opt.Tolerance*cur {
+				if cur-cv < tolerance*cur {
 					cur = cv
 					iter = opt.MaxIters // converged
 				} else {

@@ -267,7 +267,7 @@ func (s *transferState) descend(res *Result, opt Options, tk *tracker, lim *limi
 		// Tie-breaker (sum-only) improvements are allowed to run for a
 		// while to escape plateaus, but must eventually pay off on the
 		// primary objective.
-		if newMax, _ := s.objectivePair(); curMax-newMax < opt.Tolerance*curMax {
+		if newMax, _ := s.objectivePair(); curMax-newMax < tolerance*curMax {
 			stall++
 			if stall > 4*s.l.M {
 				break
@@ -305,9 +305,9 @@ func (sc *moveScan) consider(m move) {
 
 // tryPair prices every step fraction of moving object i from src to to,
 // deduplicating whole-assignment transfers promoted by the dust clamp.
-func (sc *moveScan) tryPair(i, src, to int, have float64, opt Options) {
+func (sc *moveScan) tryPair(i, src, to int, have float64) {
 	fullTried := false
-	for _, f := range opt.StepFractions {
+	for _, f := range stepFractions {
 		delta := have * f
 		if have-delta < 1e-3 {
 			delta = have // avoid leaving dust fractions behind
@@ -338,19 +338,19 @@ func (s *transferState) bestMove(curMax, curSum float64, opt Options, lim *limit
 	src, _ := maxOf(s.utils)
 	movable := opt.movableSet(s.l.N)
 	if po, pt := opt.pruneBounds(s.l.N, s.l.M, s.inc != nil); po > 0 {
-		mv, found, interrupted := s.scanPruned(src, curMax, curSum, opt, movable, lim, po, pt)
+		mv, found, interrupted := s.scanPruned(src, curMax, curSum, movable, lim, po, pt)
 		if found || interrupted {
 			return mv, found
 		}
 		// Pruning-soundness fallback: the bounded scan is dry, so pay
 		// for one exhaustive scan before letting the descent stop here.
 	}
-	return s.scanFull(src, curMax, curSum, opt, movable, lim)
+	return s.scanFull(src, curMax, curSum, movable, lim)
 }
 
 // scanFull prices every (object on src) x (other target) x (step fraction)
 // candidate.
-func (s *transferState) scanFull(src int, curMax, curSum float64, opt Options, movable func(int) bool, lim *limiter) (move, bool) {
+func (s *transferState) scanFull(src int, curMax, curSum float64, movable func(int) bool, lim *limiter) (move, bool) {
 	sc := moveScan{s: s, bestMax: curMax, bestSum: curSum}
 	for i := 0; i < s.l.N; i++ {
 		if lim.stop() != nil {
@@ -364,7 +364,7 @@ func (s *transferState) scanFull(src int, curMax, curSum float64, opt Options, m
 			if to == src {
 				continue
 			}
-			sc.tryPair(i, src, to, have, opt)
+			sc.tryPair(i, src, to, have)
 		}
 	}
 	return sc.best, sc.found
@@ -376,7 +376,7 @@ func (s *transferState) scanFull(src int, curMax, curSum float64, opt Options, m
 // lower id, so pruned solves stay bit-identical at any worker count. The
 // third return distinguishes a dry scan (fall through to scanFull) from a
 // limiter interrupt (stop immediately).
-func (s *transferState) scanPruned(src int, curMax, curSum float64, opt Options, movable func(int) bool, lim *limiter, po, pt int) (mv move, found, interrupted bool) {
+func (s *transferState) scanPruned(src int, curMax, curSum float64, movable func(int) bool, lim *limiter, po, pt int) (mv move, found, interrupted bool) {
 	s.hot = s.hot[:0]
 	s.inc.ForEachActive(src, func(obj int, lam float64) {
 		if s.l.At(obj, src) > layout.Epsilon && movable(obj) {
@@ -406,7 +406,7 @@ func (s *transferState) scanPruned(src int, curMax, curSum float64, opt Options,
 		}
 		have := s.l.At(h.obj, src)
 		for _, to := range s.cand {
-			sc.tryPair(h.obj, src, to, have, opt)
+			sc.tryPair(h.obj, src, to, have)
 		}
 	}
 	return sc.best, sc.found, false

@@ -41,10 +41,6 @@ const (
 	// StreamChaos derives the per-scenario streams of the controller chaos
 	// campaign (workload synthesis, fault schedules, crash points).
 	StreamChaos
-	// StreamHierarchy derives the per-cluster solver seeds of the
-	// hierarchical fleet-scale decomposition (element -1 seeds the global
-	// reconciliation pass).
-	StreamHierarchy
 )
 
 // Sub derives the seed of an independent pseudo-random stream from a base

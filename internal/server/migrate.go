@@ -131,21 +131,18 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	t.migMu.Lock()
-	defer t.migMu.Unlock()
-	if t.migrating() {
+	mig, err := s.openMigration(t, st, steps, scratch, req)
+	switch {
+	case errors.Is(err, errMigrating):
 		writeError(w, http.StatusConflict, "tenant %q already has a migration in flight", t.id)
 		return
-	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	case errors.Is(err, errStalePlan):
+		writeError(w, http.StatusConflict, "tenant %q: %v; retry", t.id, err)
+		return
+	case errors.Is(err, errClosing):
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
-	}
-	mig, err := s.startMigration(t, st, steps, scratch, req)
-	if err != nil {
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, "starting migration: %v", err)
 		return
 	}
@@ -154,6 +151,46 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		"epoch": mig.epoch, "moves": len(steps),
 		"bytes": migrate.ScriptBytes(steps),
 	})
+}
+
+var (
+	// errStalePlan refuses a migration planned from a layout that is no
+	// longer the tenant's current one.
+	errStalePlan = errors.New("the current layout changed while the migration was planned")
+	// errClosing refuses a migration once the server is shutting down.
+	errClosing = errors.New("server shutting down")
+)
+
+// openMigration is handleMigrate's locked step. Under t.migMu it refuses a
+// second migration (errMigrating), a closing server (errClosing), and a plan
+// whose base st.current is no longer the tenant's current layout
+// (errStalePlan) — a migration that finished, or a PUT that landed, while
+// the plan was built from the snapshot st. The current layout is the
+// runner's when a journal exists (it moves as soon as an epoch closes, before
+// installLayout publishes it) and the live snapshot's otherwise. Then it
+// starts the migration.
+func (s *Server) openMigration(t *tenant, st *tenantState, steps []migrate.Step, scratch migrate.ScratchSpec, req migrateRequest) (*migration, error) {
+	t.migMu.Lock()
+	defer t.migMu.Unlock()
+	if t.migrating() {
+		return nil, errMigrating
+	}
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, errClosing
+	}
+	var current *layout.Layout
+	if t.run != nil {
+		current = t.run.Current()
+	} else if live := t.snapshot(); live != nil {
+		current = live.current
+	}
+	if current == nil || !current.Equal(st.current) {
+		return nil, errStalePlan
+	}
+	return s.startMigration(t, st, steps, scratch, req)
 }
 
 // startMigration opens the next epoch on the tenant's runner, creating the

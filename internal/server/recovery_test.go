@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dblayout"
 	"dblayout/internal/control"
 	"dblayout/internal/layout"
 	"dblayout/internal/migrate"
@@ -316,5 +317,88 @@ func TestReplaceProblemRace(t *testing.T) {
 	if code, info := do(t, h2.Client(), "GET", h2.URL+"/v1/tenants/acme", nil); code != http.StatusOK ||
 		!rowsEqual(info["current"], target) || info["epochs"] != float64(1) {
 		t.Fatalf("restart after a failed reset lost the migrated epoch: %d %v", code, info)
+	}
+}
+
+// TestOpenMigrationStalePlan pins POST /migrate's locked step against a plan
+// built from a snapshot that went stale before the lock was taken: with no
+// journal yet, a PUT that installed another current layout; with a journal,
+// a migration that finished in between. Both must be refused with
+// errStalePlan and leave the journal as it was, while the same request from
+// a fresh snapshot starts.
+func TestOpenMigrationStalePlan(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{DataDir: dir, SimStep: 0.001, PumpInterval: time.Millisecond}
+	s, h := newTestServer(t, opt)
+	client := h.Client()
+	base := h.URL + "/v1/tenants/acme"
+	journalPath := filepath.Join(dir, "acme.journal")
+	first := [][]float64{{1, 0, 0, 0}, {1, 0, 0, 0}, {1, 0, 0, 0}, {1, 0, 0, 0}}
+	second := [][]float64{{0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}, {1, 0, 0, 0}}
+	third := [][]float64{{0, 0, 1, 0}, {0, 1, 0, 0}, {1, 0, 0, 0}, {0, 0, 0, 1}}
+	if code, resp := do(t, client, "PUT", base, testDoc(t, first)); code != http.StatusOK {
+		t.Fatalf("PUT: %d %v", code, resp)
+	}
+	s.mu.Lock()
+	tn := s.tenants["acme"]
+	s.mu.Unlock()
+	open := func(st *tenantState, rows [][]float64) error {
+		t.Helper()
+		to, err := dblayout.LayoutFromRows(rows, len(st.names), len(st.caps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := dblayout.MigrationPlan(st.problem, st.current, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := migrate.AutoScratch(st.current, to, st.sizes, st.caps)
+		steps, err := migrate.BuildScript(st.current, plan, st.sizes, st.caps, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.openMigration(tn, st, steps, scratch, migrateRequest{BytesPerSec: 16 << 20})
+		return err
+	}
+
+	stale := tn.snapshot()
+	if code, resp := do(t, client, "PUT", base, testDoc(t, second)); code != http.StatusOK {
+		t.Fatalf("PUT: %d %v", code, resp)
+	}
+	if err := open(stale, third); !errors.Is(err, errStalePlan) {
+		t.Fatalf("plan from before a PUT returned %v, want errStalePlan", err)
+	}
+	if readOptional(t, journalPath) != nil {
+		t.Fatal("refused migration created a journal")
+	}
+
+	stale = tn.snapshot()
+	if err := open(stale, third); err != nil {
+		t.Fatalf("plan from the live snapshot: %v", err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		code, info := do(t, client, "GET", base, nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET tenant: %d %v", code, info)
+		}
+		if info["migrating"] == false && rowsEqual(info["current"], third) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("migration never finished: %v", info)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	journal := readOptional(t, journalPath)
+	if err := open(stale, first); !errors.Is(err, errStalePlan) {
+		t.Fatalf("plan from before a finished migration returned %v, want errStalePlan", err)
+	}
+	if !bytes.Equal(readOptional(t, journalPath), journal) {
+		t.Fatal("refused migration wrote to the journal")
+	}
+	if code, info := do(t, client, "GET", base, nil); code != http.StatusOK || info["migrating"] != false ||
+		!rowsEqual(info["current"], third) || info["epochs"] != float64(1) {
+		t.Fatalf("refused migration changed the tenant: %d %v", code, info)
 	}
 }

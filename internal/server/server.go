@@ -335,7 +335,11 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := t.buildState(s, raw)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		code := http.StatusUnprocessableEntity
+		if errors.Is(err, errBadDocument) {
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
 	st, err = s.replaceProblem(t, st)

@@ -611,3 +611,41 @@ func TestRestartWithoutJournal(t *testing.T) {
 		t.Fatalf("restored objects = %v", objs)
 	}
 }
+
+// TestPutRejectsOutOfRangeMB checks that a size_mb or capacity_mb whose byte
+// count would overflow an int64 — it used to wrap around to a small, valid
+// size — or that is not positive is a bad request that leaves the tenant
+// as it was.
+func TestPutRejectsOutOfRangeMB(t *testing.T) {
+	_, h := newTestServer(t, Options{})
+	client := h.Client()
+	base := h.URL + "/v1/tenants/acme"
+	code, resp := do(t, client, "PUT", base, testDoc(t, nil))
+	if code != http.StatusOK {
+		t.Fatalf("PUT: %d %v", code, resp)
+	}
+	version := resp["version"]
+	for _, tc := range []struct {
+		list, field string
+		mb          int64
+	}{
+		{"objects", "size_mb", 1<<44 + 1},
+		{"objects", "size_mb", 0},
+		{"objects", "size_mb", -8},
+		{"targets", "capacity_mb", 1<<44 + 1},
+		{"targets", "capacity_mb", 0},
+	} {
+		var doc map[string]interface{}
+		if err := json.Unmarshal(testDoc(t, nil), &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc[tc.list].([]interface{})[0].(map[string]interface{})[tc.field] = tc.mb
+		if code, resp := do(t, client, "PUT", base, doc); code != http.StatusBadRequest ||
+			!strings.Contains(fmt.Sprint(resp["error"]), tc.field) {
+			t.Errorf("%s %d: PUT returned %d %v, want 400 naming the field", tc.field, tc.mb, code, resp)
+		}
+	}
+	if code, resp := do(t, client, "GET", base, nil); code != http.StatusOK || resp["version"] != version {
+		t.Fatalf("rejected uploads changed the tenant: %d %v", code, resp)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -234,13 +235,17 @@ func (t *tenant) model(s *Server, ref string, inline json.RawMessage) (*costmode
 	return m, nil
 }
 
+// errBadDocument marks a problem document that does not decode: malformed
+// JSON, or a size or capacity outside the representable range.
+var errBadDocument = errors.New("parsing problem document")
+
 // buildState parses and validates a problem document into a fresh state
 // snapshot (unversioned; install stamps it).
 func (t *tenant) buildState(s *Server, raw []byte) (*tenantState, error) {
 	var doc docFile
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("parsing problem document: %w", err)
+		return nil, fmt.Errorf("%w: %v", errBadDocument, err)
 	}
 	if len(doc.Objects) == 0 || len(doc.Targets) == 0 {
 		return nil, fmt.Errorf("problem document needs at least one object and one target")
@@ -251,24 +256,29 @@ func (t *tenant) buildState(s *Server, raw []byte) (*tenantState, error) {
 		if err != nil {
 			return nil, err
 		}
-		if o.SizeMB <= 0 {
-			return nil, fmt.Errorf("object %q: size_mb must be positive", o.Name)
+		size, err := dblayout.BytesFromMB(o.SizeMB)
+		if err != nil {
+			return nil, fmt.Errorf("%w: object %q: size_mb: %v", errBadDocument, o.Name, err)
 		}
 		st.problem.Objects = append(st.problem.Objects, dblayout.Object{
-			Name: o.Name, Size: o.SizeMB << 20, Kind: kind,
+			Name: o.Name, Size: size, Kind: kind,
 		})
 		st.names = append(st.names, o.Name)
-		st.sizes = append(st.sizes, o.SizeMB<<20)
+		st.sizes = append(st.sizes, size)
 	}
 	for _, tg := range doc.Targets {
+		capacity, err := dblayout.BytesFromMB(tg.CapacityMB)
+		if err != nil {
+			return nil, fmt.Errorf("%w: target %q: capacity_mb: %v", errBadDocument, tg.Name, err)
+		}
 		m, err := t.model(s, tg.Model, tg.ModelJSON)
 		if err != nil {
 			return nil, fmt.Errorf("target %q: %w", tg.Name, err)
 		}
 		st.problem.Targets = append(st.problem.Targets, &layout.Target{
-			Name: tg.Name, Capacity: tg.CapacityMB << 20, Model: m,
+			Name: tg.Name, Capacity: capacity, Model: m,
 		})
-		st.caps = append(st.caps, tg.CapacityMB<<20)
+		st.caps = append(st.caps, capacity)
 	}
 	st.problem.Workloads = doc.Workloads
 	if err := instanceFor(st).Validate(); err != nil {
