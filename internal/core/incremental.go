@@ -82,15 +82,17 @@ func PlaceIncrementalContext(ctx context.Context, inst *layout.Instance, current
 	caps := inst.Capacities()
 	// One incremental kernel prices the whole greedy pass: each placement
 	// reads cached utilizations and updates only the receiving target,
-	// instead of re-evaluating every target per object.
+	// instead of re-evaluating every target per object. The byte memo
+	// likewise rescans only the target that received the last object.
 	inc := ev.NewIncremental(l)
+	tb := newTargetBytes(l, sizes)
 	for _, i := range order {
 		best := -1
 		for j := 0; j < l.M; j++ {
 			if !inst.Constraints.Permits(i, j) {
 				continue
 			}
-			if l.TargetBytes(j, sizes)+float64(sizes[i]) > float64(caps[j]) {
+			if tb.at(j)+float64(sizes[i]) > float64(caps[j]) {
 				continue
 			}
 			if sharesSeparatedRow(inst.Constraints, l, i, j) {
@@ -106,7 +108,7 @@ func PlaceIncrementalContext(ctx context.Context, inst *layout.Instance, current
 		}
 		row := make([]float64, l.M)
 		row[best] = 1
-		inc.SetObjectRow(i, row)
+		tb.setRow(inc, i, row)
 	}
 
 	// Local optimization over the new rows only.

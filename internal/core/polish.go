@@ -16,10 +16,10 @@ import "dblayout/internal/layout"
 // Options.SkipPolish.
 func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout) *layout.Layout {
 	cur := l.Clone()
-	sizes := inst.Sizes()
 	caps := inst.Capacities()
 	inc := ev.NewIncremental(cur)
 	utils := inc.Utilizations(nil)
+	tb := newTargetBytes(cur, inst.Sizes())
 
 	// Same fleet-scale candidate bound as Regularize: paper-scale problems
 	// keep the exhaustive all-widths scan.
@@ -43,7 +43,7 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 			var bestRow []float64
 			var bestUtils []float64
 			for _, cand := range candidates {
-				if sameRow(cand, oldRow) || !capacityOK(cur, i, cand, sizes, caps) ||
+				if sameRow(cand, oldRow) || !capacityOK(tb, i, cand, caps) ||
 					!constraintsOK(inst, cur, i, cand) {
 					continue
 				}
@@ -56,7 +56,7 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 				}
 			}
 			if bestRow != nil {
-				inc.SetObjectRow(i, bestRow)
+				tb.setRow(inc, i, bestRow)
 				utils = bestUtils
 				improved = true
 			}

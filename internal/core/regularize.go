@@ -29,7 +29,6 @@ import (
 func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layout) (*layout.Layout, error) {
 	n, m := solved.N, solved.M
 	l := solved.Clone()
-	sizes := inst.Sizes()
 	caps := inst.Capacities()
 
 	// Regularization order: decreasing total imposed load. The loads are
@@ -58,6 +57,7 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 	// active objects) against the current partially-regularized layout.
 	inc := ev.NewIncremental(l)
 	utils := inc.Utilizations(nil)
+	tb := newTargetBytes(l, inst.Sizes())
 
 	for _, i := range order {
 		if l.RowRegular(i) {
@@ -73,7 +73,7 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 		var bestRow []float64
 		var bestUtils []float64
 		for _, cand := range candidates {
-			if !capacityOK(l, i, cand, sizes, caps) || !constraintsOK(inst, l, i, cand) {
+			if !capacityOK(tb, i, cand, caps) || !constraintsOK(inst, l, i, cand) {
 				continue
 			}
 			newUtils, obj := evalCandidate(inc, utils, i, oldRow, cand)
@@ -87,7 +87,7 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 			return nil, fmt.Errorf("no valid regular layout for object %q: space constraints too tight",
 				inst.Objects[i].Name)
 		}
-		inc.SetObjectRow(i, bestRow)
+		tb.setRow(inc, i, bestRow)
 		utils = bestUtils
 	}
 	if !l.IsRegular() {
@@ -171,19 +171,68 @@ func constraintsOK(inst *layout.Instance, l *layout.Layout, i int, cand []float6
 
 // capacityOK checks whether replacing object i's row with cand keeps every
 // target within capacity.
-func capacityOK(l *layout.Layout, i int, cand []float64, sizes, caps []int64) bool {
-	size := float64(sizes[i])
+func capacityOK(tb *targetBytes, i int, cand []float64, caps []int64) bool {
+	size := float64(tb.sizes[i])
 	for j := range cand {
-		delta := (cand[j] - l.At(i, j)) * size
+		delta := (cand[j] - tb.l.At(i, j)) * size
 		if delta <= 0 {
 			continue
 		}
-		if l.TargetBytes(j, sizes)+delta > float64(caps[j])*(1+1e-12) {
+		if tb.at(j)+delta > float64(caps[j])*(1+1e-12) {
 			return false
 		}
 	}
 	return true
 }
+
+// targetBytes memoizes Layout.TargetBytes per target for a layout whose rows
+// change only through setRow. A target's bytes change only when some
+// object's cell on it does, so setRow marks exactly those targets stale and
+// at recomputes a stale target with the same TargetBytes call: every
+// capacity comparison sees the float a fresh column sum gives, while an
+// unchanged target costs O(1) instead of an O(N) strided scan of the layout.
+type targetBytes struct {
+	l     *layout.Layout
+	sizes []int64
+	bytes []float64
+	stale []bool
+}
+
+func newTargetBytes(l *layout.Layout, sizes []int64) *targetBytes {
+	tb := &targetBytes{l: l, sizes: sizes, bytes: make([]float64, l.M), stale: make([]bool, l.M)}
+	for j := range tb.stale {
+		tb.stale[j] = true
+	}
+	return tb
+}
+
+// at returns the bytes assigned to target j.
+func (tb *targetBytes) at(j int) float64 {
+	if tb.stale[j] {
+		tb.bytes[j] = tb.l.TargetBytes(j, tb.sizes)
+		tb.stale[j] = false
+	}
+	return tb.bytes[j]
+}
+
+// setRow replaces object i's row through inc, the kernel bound to tb's
+// layout, and marks stale every target whose cell changed.
+func (tb *targetBytes) setRow(inc *layout.IncrementalEvaluator, i int, row []float64) {
+	for j, v := range row {
+		if v != tb.l.At(i, j) {
+			tb.stale[j] = true
+		}
+	}
+	inc.SetObjectRow(i, row)
+	if setRowHook != nil {
+		setRowHook(tb)
+	}
+}
+
+// setRowHook, when set, is called after every targetBytes.setRow. It lets
+// the package's tests check the memo against fresh column sums at every
+// commit; it is nil outside them.
+var setRowHook func(*targetBytes)
 
 // evalCandidate computes the utilizations and max-utilization objective that
 // would result from replacing object i's row with cand, delta-scoring only

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -162,6 +164,42 @@ func TestRecommendContextNaNModel(t *testing.T) {
 	}
 	if !rec.Degraded || !errors.Is(rec.Degradation, ErrModelFailure) {
 		t.Fatalf("not Degraded(ErrModelFailure): %v", rec.Degradation)
+	}
+	if err := inst.ValidateLayout(rec.Final); err != nil {
+		t.Fatalf("fallback layout invalid: %v", err)
+	}
+}
+
+// TestRecommendContextNegativeTableCost gives one target a literal,
+// unvalidated calibrated-table model whose read curves carry negative costs.
+// The incremental kernel prices such a model from cached interpolation cells
+// rather than through Cost, so this pins that the cell path kept the
+// model-failure guard: the advisor must degrade with ErrModelFailure naming
+// that target.
+func TestRecommendContextNegativeTableCost(t *testing.T) {
+	bad := layouttest.DiskModel()
+	for _, row := range bad.Read.Curves {
+		for _, c := range row {
+			for p := range c.Cost {
+				c.Cost[p] = -c.Cost[p]
+			}
+		}
+	}
+	inst := layouttest.Instance(4)
+	inst.Targets[2].Model = bad
+	adv, err := New(inst, Options{NLP: nlp.Options{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := adv.RecommendContext(context.Background())
+	if err != nil {
+		t.Fatalf("negative-cost model escalated to an error: %v", err)
+	}
+	if !rec.Degraded || !errors.Is(rec.Degradation, ErrModelFailure) {
+		t.Fatalf("not Degraded(ErrModelFailure): %v", rec.Degradation)
+	}
+	if name := inst.Targets[2].Name; !strings.Contains(rec.Degradation.Error(), strconv.Quote(name)) {
+		t.Fatalf("degradation %q does not name target %q", rec.Degradation, name)
 	}
 	if err := inst.ValidateLayout(rec.Final); err != nil {
 		t.Fatalf("fallback layout invalid: %v", err)

@@ -105,7 +105,9 @@ func refLookup(t *Table, size, runCount, chi float64) float64 {
 // a prepared table, the same table as an unprepared literal, the prepared
 // model after a Save→Load round trip, and the pre-change reference lookup
 // all return bit-identical costs, for in-range, clamped and exact-axis
-// sizes and run counts. modes packs the size mode (low two bits) and the
+// sizes and run counts. The two-step path, Cell(size, run).At(chi), must
+// give the same float on prepared and unprepared tables alike: the
+// incremental kernel prices from cached cells and relies on it. modes packs the size mode (low two bits) and the
 // run-count mode (next two); see fuzzPoint.
 func FuzzTableLookup(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(8), uint8(0), uint32(1<<31), uint32(1<<30), uint32(3<<30))
@@ -143,6 +145,10 @@ func FuzzTableLookup(f *testing.F) {
 		chi := -1 + (maxChi+2)*float64(z)/scale
 
 		want := refLookup(&lit, size, run, chi)
+		litCell := lit.Cell(size, run)
+		readCell := m.Read.Cell(size, run)
+		writeCell := m.Cell(true, size, run)
+		loadedCell := loaded.Cell(false, size, run)
 		for _, got := range []struct {
 			name string
 			v    float64
@@ -151,6 +157,10 @@ func FuzzTableLookup(f *testing.F) {
 			{"prepared", m.Read.Lookup(size, run, chi)},
 			{"prepared write", m.Cost(true, size, run, chi)},
 			{"loaded", loaded.Cost(false, size, run, chi)},
+			{"unprepared literal cell", litCell.At(chi)},
+			{"prepared cell", readCell.At(chi)},
+			{"prepared write cell", writeCell.At(chi)},
+			{"loaded cell", loadedCell.At(chi)},
 		} {
 			if math.Float64bits(got.v) != math.Float64bits(want) {
 				t.Fatalf("%s: Lookup(%g, %g, %g) = %.17g, reference %.17g",

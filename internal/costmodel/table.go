@@ -14,6 +14,16 @@
 // built as a literal. An unprepared table computes the same logs on demand,
 // so a lookup returns the same float either way; preparing only saves the
 // math.Log calls.
+//
+// A lookup is two steps. Table.Cell brackets the size and run-count axes
+// and returns the four surrounding contention curves with their weights;
+// Cell.At interpolates those curves at a contention factor. Lookup is
+// Cell(size, run).At(chi), so a caller that holds a Cell gets the same
+// float as Lookup without repeating the brackets. The layout package's
+// incremental kernel keeps one cell per direction for every object it
+// prices, because an object's size and run count on a target change only
+// when its fraction there does, while its contention factor changes with
+// every move of a co-access partner.
 package costmodel
 
 import (
@@ -167,19 +177,48 @@ func bracket(axis, logs []float64, v float64) (int, int, float64) {
 	return i - 1, i, f
 }
 
+// Cell is the interpolation cell of one (request size, run count) point of a
+// table: the four calibration curves that bracket it and its log-space
+// weights toward the upper size (sf) and run-count (rf) neighbours. Both
+// brackets depend only on the size and run count, so a caller that prices
+// the same point at many contention factors finds the cell once and calls
+// At per factor, with no log and no axis search. A Cell aliases its table's
+// curves: the table must not change while the cell is in use.
+type Cell struct {
+	c00, c01, c10, c11 *Curve
+	sf, rf             float64
+}
+
+// Cell returns the interpolation cell of the given request size (bytes) and
+// run count, clamped to the calibrated ranges as Lookup clamps them.
+func (t *Table) Cell(size, runCount float64) Cell {
+	s0, s1, sf := bracket(t.Sizes, t.logSizes, size)
+	r0, r1, rf := bracket(t.RunCounts, t.logRuns, runCount)
+	return Cell{
+		c00: &t.Curves[s0][r0], c01: &t.Curves[s0][r1],
+		c10: &t.Curves[s1][r0], c11: &t.Curves[s1][r1],
+		sf: sf, rf: rf,
+	}
+}
+
+// At returns the cell's interpolated per-request cost in seconds at
+// contention chi: the same float operations, in the same order, as Lookup.
+func (c *Cell) At(chi float64) float64 {
+	c00 := c.c00.At(chi)
+	c01 := c.c01.At(chi)
+	c10 := c.c10.At(chi)
+	c11 := c.c11.At(chi)
+	low := c00*(1-c.rf) + c01*c.rf
+	high := c10*(1-c.rf) + c11*c.rf
+	return low*(1-c.sf) + high*c.sf
+}
+
 // Lookup returns the interpolated per-request cost in seconds for the given
 // request size (bytes), run count, and contention factor. Values outside the
 // calibrated ranges are clamped to the nearest calibrated point.
 func (t *Table) Lookup(size, runCount, chi float64) float64 {
-	s0, s1, sf := bracket(t.Sizes, t.logSizes, size)
-	r0, r1, rf := bracket(t.RunCounts, t.logRuns, runCount)
-	c00 := t.Curves[s0][r0].At(chi)
-	c01 := t.Curves[s0][r1].At(chi)
-	c10 := t.Curves[s1][r0].At(chi)
-	c11 := t.Curves[s1][r1].At(chi)
-	low := c00*(1-rf) + c01*rf
-	high := c10*(1-rf) + c11*rf
-	return low*(1-sf) + high*sf
+	c := t.Cell(size, runCount)
+	return c.At(chi)
 }
 
 // Model is the complete per-target-type cost model: one table for reads and
@@ -198,6 +237,16 @@ func (m *Model) Cost(write bool, size, runCount, chi float64) float64 {
 		return m.Write.Lookup(size, runCount, chi)
 	}
 	return m.Read.Lookup(size, runCount, chi)
+}
+
+// Cell returns the interpolation cell of the given direction's table (see
+// Table.Cell): Cost(write, size, runCount, chi) equals
+// Cell(write, size, runCount).At(chi) bit for bit.
+func (m *Model) Cell(write bool, size, runCount float64) Cell {
+	if write {
+		return m.Write.Cell(size, runCount)
+	}
+	return m.Read.Cell(size, runCount)
 }
 
 // Valid reports whether both tables are well-formed.

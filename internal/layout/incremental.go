@@ -1,6 +1,10 @@
 package layout
 
-import "fmt"
+import (
+	"fmt"
+
+	"dblayout/internal/costmodel"
+)
 
 // IncrementalEvaluator is a delta-evaluation kernel for the utilization model
 // of Eq. 1/Eq. 2, bound to one live Layout. Where the naive Evaluator prices a
@@ -10,16 +14,23 @@ import "fmt"
 //   - the request-rate entry lambda_ij = totalRate_i * L[i][j],
 //   - the contention sum S_ij = sum_{k != i} lambda_kj * Overlap(i, k),
 //   - the object's own utilization term mu_ij, priced at that cached state,
+//   - when the target's model exposes interpolation cells (*costmodel.Model
+//     does), the object's read and write cells at its request sizes and its
+//     run count on the target,
 //   - the current utilization mu_j,
 //
-// the per-object entries held in four parallel slices ordered by ascending
+// the per-object entries held in five parallel slices ordered by ascending
 // object id, so summation order is reproducible and lookup is a binary
 // search. A probe on obj changes the contention factor only of obj and of
 // its co-access partners, so scoring reprices just those entries and adds
 // every other entry's cached mu_ij; the cost model is not consulted for
-// objects whose chi did not change. The mu_ij cache is refreshed on commit
-// only (Apply/SetObjectRow): for each partner whose contention sum shifted,
-// and for obj's own entry once its fraction is set. State is sized by
+// objects whose chi did not change. A repriced partner's size and run count
+// did not change either, so it is priced from its cached cells: four curve
+// interpolations per direction, with no log, no axis search and no run-count
+// model. The mu_ij cache is refreshed on commit only (Apply/SetObjectRow):
+// for each partner whose contention sum shifted, and for obj's own entry
+// once its fraction is set; the cells are refreshed with obj's own entry
+// only, because no other entry's fraction moved. State is sized by
 // active entries, not by N: construction walks the layout once and allocates
 // O(total active entries), so an almost-empty fleet-scale target costs
 // almost nothing (the dense predecessor allocated four O(N) rows per target
@@ -51,8 +62,29 @@ type IncrementalEvaluator struct {
 	lam [][]float64 // lam[j][t] = totalRate[act[j][t]] * L[act[j][t]][j]
 	con [][]float64 // con[j][t] = S_ij for i = act[j][t]
 	om  [][]float64 // om[j][t] = mu_ij for i = act[j][t], at con[j][t]
-	mu  []float64   // mu[j]: cached utilization of target j
+	// cel[j][t] holds the interpolation cells of act[j][t] at its current
+	// fraction; cel[j] is nil when target j's model is Cost-only.
+	cel [][]entryCells
+	mu  []float64 // mu[j]: cached utilization of target j
+
+	// cm[j] is target j's model when it exposes interpolation cells, nil
+	// when it implements only Cost (the kernel then prices every entry
+	// through Cost, as the naive Evaluator does).
+	cm []cellModel
 }
+
+// cellModel is the optional interface of a cost model whose Cost is an
+// interpolation Cell(write, size, runCount).At(chi), bit for bit.
+// *costmodel.Model implements it. A type that embeds *costmodel.Model gains
+// Cell by promotion, so one that changes what Cost returns must hold the
+// model in a named field instead, or the kernel prices it from the table.
+type cellModel interface {
+	Cell(write bool, size, runCount float64) costmodel.Cell
+}
+
+// entryCells are one active entry's read and write interpolation cells.
+// A direction the entry carries no load in keeps a zero cell, never used.
+type entryCells struct{ r, w costmodel.Cell }
 
 // NewIncremental binds a delta-evaluation kernel to l. Construction is one
 // row-major pass over the layout plus one contention merge-walk per active
@@ -74,7 +106,9 @@ func (ev *Evaluator) NewIncremental(l *Layout) *IncrementalEvaluator {
 		lam: make([][]float64, m),
 		con: make([][]float64, m),
 		om:  make([][]float64, m),
+		cel: make([][]entryCells, m),
 		mu:  make([]float64, m),
+		cm:  make([]cellModel, m),
 	}
 	// One pass in row-major (layout storage) order: each target's active
 	// list comes out ascending for free.
@@ -89,8 +123,13 @@ func (ev *Evaluator) NewIncremental(l *Layout) *IncrementalEvaluator {
 	for j := 0; j < m; j++ {
 		q.con[j] = make([]float64, len(q.act[j]))
 		q.om[j] = make([]float64, len(q.act[j]))
+		if cm, ok := ev.inst.Targets[j].Model.(cellModel); ok {
+			q.cm[j] = cm
+			q.cel[j] = make([]entryCells, len(q.act[j]))
+		}
 		for t, i := range q.act[j] {
 			q.con[j][t] = q.freshCon(j, int(i))
+			q.setCells(j, t)
 			q.om[j][t] = q.entryTerm(j, t, q.con[j][t])
 		}
 		q.mu[j] = q.scoreWith(j, -1, 0)
@@ -165,7 +204,8 @@ func (q *IncrementalEvaluator) objTerm(j, i int, lij, chi float64) float64 {
 
 // entryTerm prices active entry t of target j at contention sum s: mu_ij
 // exactly as the naive Evaluator computes it, or 0 for an entry that carries
-// no load (those add nothing to mu_j).
+// no load (those add nothing to mu_j). On a target with cells the entry is
+// priced from its cached cells, which give the model's Cost bit for bit.
 func (q *IncrementalEvaluator) entryTerm(j, t int, s float64) float64 {
 	ev := q.ev
 	i := int(q.act[j][t])
@@ -174,7 +214,59 @@ func (q *IncrementalEvaluator) entryTerm(j, t int, s float64) float64 {
 		return 0
 	}
 	chi := s/q.lam[j][t] + ev.selfChi[i]
-	return q.objTerm(j, i, lij, chi)
+	if q.cm[j] == nil {
+		return q.objTerm(j, i, lij, chi)
+	}
+	c := &q.cel[j][t]
+	var mu float64
+	if rr := ev.readRate[i] * lij; rr > 0 {
+		mu += rr * q.cellCost(j, i, &c.r, false, chi)
+	}
+	if wr := ev.writeRate[i] * lij; wr > 0 {
+		mu += wr * q.cellCost(j, i, &c.w, true, chi)
+	}
+	return mu
+}
+
+// cellCost evaluates one cached cell of object i on target j at chi under
+// the same guard as Evaluator.cost: a NaN, infinite or negative cost raises
+// the model-failure panic, naming the arguments Cost would have been given.
+func (q *IncrementalEvaluator) cellCost(j, i int, c *costmodel.Cell, write bool, chi float64) float64 {
+	v := c.At(chi)
+	if badCost(v) {
+		ev := q.ev
+		size := ev.readSize[i]
+		if write {
+			size = ev.writeSize[i]
+		}
+		ev.failCost(j, write, size, ev.runCountOn(i, q.l.At(i, j)), chi, v)
+	}
+	return v
+}
+
+// setCells rebuilds the interpolation cells of active entry t of target j
+// from its current fraction, for the directions entryTerm prices. It is a
+// no-op on a Cost-only target.
+func (q *IncrementalEvaluator) setCells(j, t int) {
+	cm := q.cm[j]
+	if cm == nil {
+		return
+	}
+	ev := q.ev
+	i := int(q.act[j][t])
+	lij := q.l.At(i, j)
+	c := &q.cel[j][t]
+	*c = entryCells{}
+	if lij <= Epsilon || ev.totalRate[i] <= 0 {
+		return
+	}
+	run := ev.runCountOn(i, lij)
+	if ev.readRate[i]*lij > 0 {
+		c.r = cm.Cell(false, ev.readSize[i], run)
+	}
+	if ev.writeRate[i]*lij > 0 {
+		c.w = cm.Cell(true, ev.writeSize[i], run)
+	}
 }
 
 // scoreWith computes mu_j as if L[obj][j] were frac, against the cached state
@@ -302,7 +394,9 @@ func (q *IncrementalEvaluator) Apply(obj, from, to int, delta float64) float64 {
 // active co-access partner's contention sum shifts by dLam * Overlap(i, obj)
 // (non-partners are untouched — their sums never contained an obj term).
 // The cached mu_ij is refreshed for exactly the entries whose inputs moved:
-// each shifted partner, and obj's own entry once L[obj][j] is set.
+// each shifted partner, and obj's own entry once L[obj][j] is set. Only
+// obj's own entry has its cells rebuilt: a partner's fraction, and so its
+// run count, is unchanged.
 func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 	lamNew := q.ev.totalRate[obj] * frac
 	p := q.findActive(j, obj)
@@ -338,6 +432,7 @@ func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 	}
 	q.l.Set(obj, j, frac)
 	if p >= 0 {
+		q.setCells(j, p)
 		q.om[j][p] = q.entryTerm(j, p, q.con[j][p])
 	}
 }
@@ -346,8 +441,9 @@ func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 // keeping ascending order so that scoreWith's summation order depends only
 // on the set of active objects, never on the history of moves that produced
 // it. Steady-state insertions reuse the capacity earlier removals left
-// behind, keeping the Apply hot loop allocation-free. The entry's mu_ij is
-// left 0 for setFrac to price once the layout holds the new fraction.
+// behind, keeping the Apply hot loop allocation-free. The entry's mu_ij and
+// cells are left zero for setFrac to price once the layout holds the new
+// fraction.
 func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64) {
 	q.act[j] = append(q.act[j], 0)
 	copy(q.act[j][t+1:], q.act[j][t:])
@@ -361,6 +457,11 @@ func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64) {
 	q.om[j] = append(q.om[j], 0)
 	copy(q.om[j][t+1:], q.om[j][t:])
 	q.om[j][t] = 0
+	if q.cm[j] != nil {
+		q.cel[j] = append(q.cel[j], entryCells{})
+		copy(q.cel[j][t+1:], q.cel[j][t:])
+		q.cel[j][t] = entryCells{}
+	}
 }
 
 // removeActive drops the entry at position t from target j's active list.
@@ -379,6 +480,11 @@ func (q *IncrementalEvaluator) removeActive(j, t int) {
 	om := q.om[j]
 	copy(om[t:], om[t+1:])
 	q.om[j] = om[:len(om)-1]
+	if q.cm[j] != nil {
+		cel := q.cel[j]
+		copy(cel[t:], cel[t+1:])
+		q.cel[j] = cel[:len(cel)-1]
+	}
 }
 
 // ForEachActive calls f for every object with a non-zero assignment on

@@ -1,9 +1,12 @@
 package layout
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dblayout/internal/rome"
@@ -574,6 +577,125 @@ func TestIncrementalFleetScaleConstruction(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("fleet-scale TryMove allocates %g objects per call, want 0", allocs)
 	}
+}
+
+// costOnly hides a model's interpolation cells: the kernel then prices every
+// entry through Cost, the path external models take.
+type costOnly struct{ m CostModel }
+
+func (c costOnly) Cost(write bool, size, runCount, chi float64) float64 {
+	return c.m.Cost(write, size, runCount, chi)
+}
+
+// TestIncrementalCellsMatchCostPath is the differential test of the kernel's
+// cell cache: identical random moves and row replacements drive one kernel
+// over *costmodel.Model targets (priced from cached cells) and one over the
+// same models behind a Cost-only wrapper. Every probe, every applied delta
+// and every cached utilization must be bit-identical between the two, and
+// the cell kernel's caches must match a rebuild from scratch throughout.
+func TestIncrementalCellsMatchCostPath(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, m := 6+rng.Intn(20), 2+rng.Intn(5)
+		inst := randInstanceWith(t, rng, n, m, rng.Float64(), true)
+		wrapped := *inst
+		wrapped.Targets = make([]*Target, m)
+		for j, tg := range inst.Targets {
+			w := *tg
+			w.Model = costOnly{tg.Model}
+			wrapped.Targets[j] = &w
+		}
+		base := randLayout(rng, n, m)
+		qc := NewEvaluator(inst).NewIncremental(base.Clone())
+		qw := NewEvaluator(&wrapped).NewIncremental(base.Clone())
+		for j := 0; j < m; j++ {
+			if qc.cm[j] == nil || qw.cm[j] != nil {
+				t.Fatalf("seed %d: target %d: cell path not selected as expected", seed, j)
+			}
+		}
+		bits := func(step int, what string, a, b float64) {
+			t.Helper()
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d, step %d: %s: cells %.17g, Cost path %.17g", seed, step, what, a, b)
+			}
+		}
+		check := func(step int, what string) {
+			t.Helper()
+			for j := 0; j < m; j++ {
+				bits(step, fmt.Sprintf("%s: mu[%d]", what, j), qc.Utilization(j), qw.Utilization(j))
+			}
+			if !qc.Layout().Equal(qw.Layout()) {
+				t.Fatalf("seed %d, step %d: %s: layouts diverged", seed, step, what)
+			}
+			if err := qc.checkTermCache(); err != nil {
+				t.Fatalf("seed %d, step %d: %s: %v", seed, step, what, err)
+			}
+		}
+		check(-1, "construction")
+		for step := 0; step < 300; step++ {
+			if rng.Intn(4) == 0 {
+				i := rng.Intn(n)
+				row := randLayout(rng, 1, m).Row(0)
+				if rng.Intn(2) == 0 {
+					row = RegularRow(m, rng.Perm(m)[:1+rng.Intn(m)])
+				}
+				for j := range row {
+					bits(step, "ScoreObjectFrac", qc.ScoreObjectFrac(j, i, row[j]), qw.ScoreObjectFrac(j, i, row[j]))
+				}
+				qc.SetObjectRow(i, row)
+				qw.SetObjectRow(i, row)
+				check(step, "SetObjectRow")
+				continue
+			}
+			obj, from, to, delta, ok := randMove(rng, qc.Layout())
+			if !ok {
+				continue
+			}
+			cf, ct := qc.TryMove(obj, from, to, delta)
+			wf, wt := qw.TryMove(obj, from, to, delta)
+			bits(step, "TryMove from", cf, wf)
+			bits(step, "TryMove to", ct, wt)
+			if rng.Intn(3) > 0 {
+				bits(step, "Apply delta", qc.Apply(obj, from, to, delta), qw.Apply(obj, from, to, delta))
+				check(step, "Apply")
+			}
+		}
+	}
+}
+
+// TestIncrementalCellGuard checks that the cell path keeps the model-failure
+// guard: a literal, unvalidated table with negative read costs must raise the typed model-failure panic naming the target when the
+// kernel prices the entries already placed there, which it does from their
+// cached cells.
+func TestIncrementalCellGuard(t *testing.T) {
+	inst := testInstance(t, 2)
+	bad := testModel()
+	for _, row := range bad.Read.Curves {
+		for _, c := range row {
+			for p := range c.Cost {
+				c.Cost[p] = -1e-3
+			}
+		}
+	}
+	inst.Targets[1].Model = bad
+	if _, ok := inst.Targets[1].Model.(cellModel); !ok {
+		t.Fatal("calibrated table model does not expose cells")
+	}
+	l := New(inst.N(), inst.M())
+	for i := 0; i < l.N; i++ {
+		l.Set(i, 1, 1)
+	}
+	defer func() {
+		err := AsModelFailure(recover())
+		if _, typed := err.(*modelFailure); !typed {
+			t.Fatalf("got %v; the guard did not fire", err)
+		}
+		if !errors.Is(err, ErrModelFailure) || !strings.Contains(err.Error(), inst.Targets[1].Name) {
+			t.Fatalf("got %v, want a model failure naming target %q", err, inst.Targets[1].Name)
+		}
+	}()
+	NewEvaluator(inst).NewIncremental(l)
+	t.Fatal("negative cell cost was not rejected")
 }
 
 // TestIncrementalDimensionMismatch checks the constructor's guard.

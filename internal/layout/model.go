@@ -163,17 +163,26 @@ func (ev *Evaluator) objectUtil(l *Layout, i, j int, rates []float64) float64 {
 // garbage into the solver.
 func (ev *Evaluator) cost(j int, model CostModel, write bool, size, runCount, chi float64) float64 {
 	c := model.Cost(write, size, runCount, chi)
-	if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-		dir := "read"
-		if write {
-			dir = "write"
-		}
-		panic(&modelFailure{
-			target: ev.inst.Targets[j].Name,
-			detail: fmt.Sprintf("%s cost(size=%g, run=%g, chi=%g) = %g", dir, size, runCount, chi, c),
-		})
+	if badCost(c) {
+		ev.failCost(j, write, size, runCount, chi, c)
 	}
 	return c
+}
+
+// badCost reports whether c is not a usable per-request cost.
+func badCost(c float64) bool { return math.IsNaN(c) || math.IsInf(c, 0) || c < 0 }
+
+// failCost raises the model-failure panic for cost c returned by target j's
+// model at the given arguments.
+func (ev *Evaluator) failCost(j int, write bool, size, runCount, chi, c float64) {
+	dir := "read"
+	if write {
+		dir = "write"
+	}
+	panic(&modelFailure{
+		target: ev.inst.Targets[j].Name,
+		detail: fmt.Sprintf("%s cost(size=%g, run=%g, chi=%g) = %g", dir, size, runCount, chi, c),
+	})
 }
 
 // TargetUtilization returns mu_j, the predicted utilization of target j
